@@ -17,7 +17,7 @@ import logging
 
 import requests
 
-from .envelope import Envelope, ProtocolMessage, decode_wire, encode_wire, pack, unpack
+from .envelope import ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from .errors import (
     EnvelopeError,
     PeerUnreachableError,

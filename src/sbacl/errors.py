@@ -97,10 +97,6 @@ class IllegalTransitionError(ProtocolError):
         super().__init__(f"illegal transition {state} -> {target}")
 
 
-class SessionTimeoutError(ProtocolError):
-    """A pending session exceeded its configured timeout."""
-
-
 class IdentificationRejectedError(ProtocolError):
     """The peer refused our identification presentation."""
 
@@ -122,16 +118,8 @@ class PeerUnreachableError(SbaclError):
     """The peer's envelope endpoint could not be reached or timed out."""
 
 
-class TunnelError(SbaclError):
-    """Tunneled exchange failed between sidecars."""
-
-
-class StalePeerKeyError(TunnelError):
+class StalePeerKeyError(SbaclError):
     """Peer reported our envelope used a superseded key version for it."""
-
-
-class NoRouteError(SbaclError):
-    """No route-table rule matched an intercepted request."""
 
 
 class ConfigError(SbaclError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import crypto
 from .encoding import b58decode, b58encode, b64u_decode, b64u_encode, canonical_json, sha256
-from .errors import IdentityError
+from .errors import IdentityError, RegistryError
 
 PEER_PREFIX = "did:speer:"
 REGISTRY_PREFIX = "did:svdr:"
@@ -226,6 +226,29 @@ def rotate_document(
     return SignedDocumentUpdate(doc, crypto.ed25519_sign(sign_with, doc.canonical_bytes()))
 
 
+def publish_document(registry, resolver, keys: KeyPair, endpoint: str | None) -> DidDocument:
+    """Register the DID of `keys` on first run; republish it on a restart.
+
+    A restarted service usually binds a fresh port, so the same identity
+    needs a new document version for the new endpoint even though its keys
+    are unchanged. A document that already names this key and endpoint is
+    reused as it is.
+    """
+    did, doc = create_registry_did(keys, endpoint)
+    try:
+        registry.register(self_sign_document(doc, keys))
+        return doc
+    except RegistryError as exc:
+        if exc.code != "already_exists":
+            raise
+    latest = resolver.resolve(did, policy="force_fresh")
+    if latest.signing_key == keys.signing_public and latest.service_endpoint == endpoint:
+        return latest
+    update = rotate_document(latest, keys, keys.signing_secret, service_endpoint=endpoint)
+    registry.update(update)
+    return update.document
+
+
 def verify_document_chain(versions: list[tuple[DidDocument, bytes]]) -> bool:
     """Check a full version history: signatures, hash links, version numbers.
 
@@ -257,14 +280,18 @@ class ResolutionCache:
         self._entries: dict[str, tuple[DidDocument, float]] = {}
         self._lock = threading.Lock()
 
-    def get(self, did: Did | str, now: float | None = None) -> DidDocument | None:
+    def get(self, did: Did | str, now: float | None = None,
+            max_age: float | None = None) -> DidDocument | None:
+        """The cached document, or None when absent or older than `max_age`
+        (the cache's own bound unless the caller names another)."""
         now = time.time() if now is None else now
+        max_age = self.max_age if max_age is None else max_age
         with self._lock:
             entry = self._entries.get(str(did))
         if entry is None:
             return None
         doc, fetched_at = entry
-        if now - fetched_at > self.max_age:
+        if now - fetched_at > max_age:
             return None
         return doc
 

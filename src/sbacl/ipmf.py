@@ -26,6 +26,7 @@ from .credentials import (
     KINDS,
     TrustPolicy,
     VerifiableCredential,
+    VerifiablePresentation,
     chain_rights,
     fresh_challenge,
     verify_presentation,
@@ -42,17 +43,9 @@ from .envelope import (
     ProtocolMessage,
 )
 from .envelope_http import EnvelopeHttpServer
-from .credentials import VerifiablePresentation
 from .crypto import ed25519_sign
 from .errors import ConfigError, IssuanceError, RegistryError
-from .identity import (
-    KeyPair,
-    Resolver,
-    create_registry_did,
-    generate_keypair,
-    rotate_document,
-    self_sign_document,
-)
+from .identity import KeyPair, Resolver, create_registry_did, generate_keypair, publish_document
 from .protocols import IssuanceSession, SessionStore
 from .vdr import revocation_request_bytes, revoke_request_bytes
 
@@ -200,7 +193,6 @@ class Ipmf:
         self.revocation_registry_id: str | None = None
         self.server: EnvelopeHttpServer | None = None
         self.sessions = SessionStore(timeout=session_timeout)
-        self._pending: dict[str, dict] = {}
         self._issued_ids: set[str] = set()
         self._log_lock = threading.Lock()
         self._log_path = Path(issuance_log) if issuance_log else None
@@ -259,28 +251,12 @@ class Ipmf:
         if serve:
             self.server = EnvelopeHttpServer(self, self.handle, host, port)
             endpoint = self.server.endpoint
-        self.doc_version = self._publish_document(endpoint).version
+        self.doc_version = publish_document(self.registry, self.resolver, self.keys,
+                                            endpoint).version
         if self.revocation_registry_id is None:
             self.revocation_registry_id = self._ensure_revocation_registry()
         if self.server is not None:
             self.server.start()
-
-    def _publish_document(self, endpoint: str | None):
-        _, doc = create_registry_did(self.keys, endpoint)
-        try:
-            self.registry.register(self_sign_document(doc, self.keys))
-            return doc
-        except RegistryError as exc:
-            if exc.code != "already_exists":
-                raise
-        latest = self.resolver.resolve(self.did, policy="force_fresh")
-        if (latest.signing_key == self.keys.signing_public
-                and latest.service_endpoint == endpoint):
-            return latest
-        update = rotate_document(latest, self.keys, self.keys.signing_secret,
-                                 service_endpoint=endpoint)
-        self.registry.update(update)
-        return update.document
 
     def _ensure_revocation_registry(self) -> str:
         # The nonce is a fixed function of the signing key, so a restarted
@@ -380,20 +356,18 @@ class Ipmf:
         if msg.type == MSG_OFFER:
             return self._on_offer(msg, sender)
         session = self.sessions.get(msg.thread_id)
-        pending = self._pending.get(msg.thread_id)
-        if session is None or pending is None or pending["sender"] != sender:
+        if session is None or session.subject_did != sender:
             return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
         if msg.type == MSG_PRESENTATION:
-            return self._on_identification(msg, session, pending)
+            return self._on_identification(msg, session)
         if msg.type == MSG_REQUEST:
-            return self._on_request(msg, session, pending)
+            return self._on_request(msg, session)
         self._fail(session)
         return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type}"})
 
     def _fail(self, session: IssuanceSession) -> None:
         session.fail()
         self.sessions.drop(session.thread_id)
-        self._pending.pop(session.thread_id, None)
 
     def _on_offer(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         kind = msg.body.get("kind")
@@ -401,52 +375,43 @@ class Ipmf:
             # Delegation runs through the administrative path, never the
             # NF-facing protocol.
             return msg.reply(MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
-        session = IssuanceSession(thread_id=msg.thread_id, role="issuer",
-                                  offered_kind=kind, subject_did=sender)
+        session = IssuanceSession(thread_id=msg.thread_id, role="issuer", offered_kind=kind,
+                                  subject_did=sender, challenge=fresh_challenge())
         session.advance("offered")
         self.sessions.put(session)
-        challenge = fresh_challenge()
-        self._pending[msg.thread_id] = {
-            "sender": sender,
-            "kind": kind,
-            "claims": dict(msg.body.get("claims", {})),
-            "challenge": challenge,
-            "authn_claims": None,
-        }
         return msg.reply(MSG_PRESENT_REQUEST, {
-            "challenge": b64u_encode(challenge),
+            "challenge": b64u_encode(session.challenge),
             "kinds": [KIND_AUTHN],
         })
 
-    def _on_identification(self, msg: ProtocolMessage, session: IssuanceSession,
-                           pending: dict) -> ProtocolMessage:
+    def _on_identification(self, msg: ProtocolMessage,
+                           session: IssuanceSession) -> ProtocolMessage:
         vp = VerifiablePresentation.from_dict(msg.body["presentation"])
         verdict = verify_presentation(
-            vp, pending["challenge"], self.trust_policy(), self.resolver,
+            vp, session.challenge, self.trust_policy(), self.resolver,
             revocation_client=self.registry,
         )
-        if verdict.ok and vp.holder != pending["sender"]:
+        if verdict.ok and vp.holder != session.subject_did:
             verdict = creds.Verdict.from_failures(["subject_mismatch"])
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
-                     self.name, pending["sender"], verdict.failures)
+                     self.name, session.subject_did, verdict.failures)
             self._fail(session)
             return msg.reply(MSG_DENY, {"failures": verdict.failures})
         merged: dict[str, str] = {}
         for vc in vp.credentials:
             if vc.kind == KIND_AUTHN:
                 merged.update(vc.claims)
-        pending["authn_claims"] = merged
+        session.authn_claims = merged
         return msg.reply(MSG_ACK, {})
 
-    def _on_request(self, msg: ProtocolMessage, session: IssuanceSession,
-                    pending: dict) -> ProtocolMessage:
-        if pending["authn_claims"] is None:
+    def _on_request(self, msg: ProtocolMessage, session: IssuanceSession) -> ProtocolMessage:
+        if session.authn_claims is None:
             self._fail(session)
             return msg.reply(MSG_DENY, {"reason": "not_identified"})
         kind = msg.body.get("kind")
         requested = dict(msg.body.get("claims", {}))
-        if kind != pending["kind"]:
+        if kind != session.offered_kind:
             self._fail(session)
             return msg.reply(MSG_DENY, {"reason": "request_differs_from_offer"})
         session.advance("requested")
@@ -455,17 +420,17 @@ class Ipmf:
             return msg.reply(MSG_DENY, {"reason": "insufficient_rights"})
         rule = next(
             (r for r in self.policy
-             if r.matches(pending["authn_claims"], kind, requested)),
+             if r.matches(session.authn_claims, kind, requested)),
             None,
         )
         if rule is None:
             log.info("%s: no policy rule for %s request by %s",
-                     self.name, kind, pending["sender"])
+                     self.name, kind, session.subject_did)
             self._fail(session)
             return msg.reply(MSG_DENY, {"reason": "policy_denied"})
         granted = dict(rule.grant) if rule.grant else requested
         try:
-            vc = self.issue_credential_to(pending["sender"], kind, granted,
+            vc = self.issue_credential_to(session.subject_did, kind, granted,
                                           validity=rule.validity)
         except IssuanceError as exc:
             self._fail(session)
@@ -473,5 +438,4 @@ class Ipmf:
         session.advance("issued")
         session.advance("done")
         self.sessions.drop(session.thread_id)
-        self._pending.pop(session.thread_id, None)
         return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})

@@ -58,7 +58,8 @@ class MockNf:
         nf = self
 
         class NfHandler(QuietHandler):
-            def _serve(self, method: str) -> None:
+            def _serve(self) -> None:
+                method = self.command
                 self.read_body()
                 with nf._lock:
                     nf.requests.append((method, self.path))
@@ -69,19 +70,6 @@ class MockNf:
                 body = json.dumps(behavior.body, sort_keys=True).encode("utf-8")
                 self.send_bytes(behavior.status, body, "application/json")
 
-            def do_GET(self):
-                self._serve("GET")
-
-            def do_POST(self):
-                self._serve("POST")
-
-            def do_PUT(self):
-                self._serve("PUT")
-
-            def do_PATCH(self):
-                self._serve("PATCH")
-
-            def do_DELETE(self):
-                self._serve("DELETE")
+            do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _serve
 
         return NfHandler

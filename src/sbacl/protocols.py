@@ -1,7 +1,7 @@
-"""Message-level protocols: issuance, presentation exchange, and the
-access-control handshake.
+"""Message-level protocols: credential issuance and the access-control
+handshake.
 
-All three run over a request/reply envelope channel. The initiating side
+Both run over a request/reply envelope channel. The initiating side
 drives the exchange as a sequence of synchronous calls; the responding side
 is a stateful handler keyed by thread id, because its view of one exchange
 spans several incoming messages.
@@ -45,6 +45,7 @@ from .errors import (
     IdentificationRejectedError,
     IllegalTransitionError,
     PolicyDeniedError,
+    PresentationError,
     ProtocolError,
 )
 
@@ -81,6 +82,8 @@ class IssuanceSession(_Session):
     state: str = "start"
     offered_kind: str | None = None
     subject_did: str | None = None
+    challenge: bytes | None = None
+    authn_claims: dict[str, str] | None = None  # merged once identification succeeds
     updated_at: float = dc_field(default_factory=time.time)
 
     EDGES = {
@@ -94,30 +97,10 @@ class IssuanceSession(_Session):
 
 
 @dataclass
-class PresentationSession(_Session):
-    thread_id: str
-    role: str  # "verifier" | "prover"
-    state: str = "start"
-    challenge: bytes | None = None
-    requested_kinds: tuple[str, ...] = ()
-    updated_at: float = dc_field(default_factory=time.time)
-
-    EDGES = {
-        "start": frozenset({"requested", "failed"}),
-        "requested": frozenset({"presented", "failed"}),
-        "presented": frozenset({"verified", "denied", "failed"}),
-        "verified": frozenset(),
-        "denied": frozenset(),
-        "failed": frozenset(),
-    }
-
-
-@dataclass
 class HandshakeSession(_Session):
     thread_id: str
     peer: str
     direction: str  # "initiator" | "responder"
-    consumer_is_local: bool = True
     state: str = "idle"
     challenge: bytes | None = None
     authn_claims: list[dict] = dc_field(default_factory=list)
@@ -133,11 +116,6 @@ class HandshakeSession(_Session):
         "established": frozenset(),
         "rejected": frozenset(),
     }
-
-    # `phase` is the natural name for a handshake; keep it as an alias.
-    @property
-    def phase(self) -> str:
-        return self.state
 
 
 class SessionStore:
@@ -246,89 +224,6 @@ def run_issuance(
     return vc
 
 
-# --- presentation exchange --------------------------------------------------------
-
-
-def run_presentation(
-    channel,
-    requested_kinds,
-    trust: TrustPolicy,
-    resolver,
-    revocation_client=None,
-    expected_holder: str | None = None,
-) -> tuple[Verdict, VerifiablePresentation]:
-    """Verifier side of a presentation exchange over a channel.
-
-    Sends a fresh challenge, verifies what comes back, then closes the
-    thread with an ack or deny so the prover learns the outcome.
-    """
-    requested_kinds = tuple(requested_kinds)
-    session = PresentationSession(thread_id=str(uuid.uuid4()), role="verifier",
-                                  challenge=fresh_challenge(), requested_kinds=requested_kinds)
-    session.advance("requested")
-    reply = channel.request(ProtocolMessage(
-        MSG_PRESENT_REQUEST,
-        {"challenge": b64u_encode(session.challenge), "kinds": list(requested_kinds)},
-        thread_id=session.thread_id,
-    ))
-    if reply.type != MSG_PRESENTATION:
-        session.fail()
-        raise ProtocolError(f"expected presentation, got {reply.type}")
-    session.advance("presented")
-    vp = VerifiablePresentation.from_dict(reply.body["presentation"])
-
-    presented_kinds = {c.kind for c in vp.credentials}
-    if not set(requested_kinds) <= presented_kinds:
-        channel.request(reply.reply(MSG_DENY, {"reason": "missing_kinds"}))
-        session.advance("denied")
-        raise ProtocolError(
-            f"prover presented {sorted(presented_kinds)}, requested {sorted(requested_kinds)}"
-        )
-    verdict = verify_presentation(vp, session.challenge, trust, resolver, revocation_client)
-    if verdict.ok and expected_holder is not None and vp.holder != expected_holder:
-        verdict = Verdict.from_failures(["subject_mismatch"])
-    if verdict.ok:
-        channel.request(reply.reply(MSG_ACK, {}))
-        session.advance("verified")
-    else:
-        channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
-        session.advance("denied")
-    return verdict, vp
-
-
-class PresentationProver:
-    """Prover side: answers presentation requests from a credential wallet."""
-
-    def __init__(self, holder_keys, holder_did: str, wallet):
-        self.holder_keys = holder_keys
-        self.holder_did = str(holder_did)
-        self.wallet = wallet  # callable kinds -> list of credentials
-        self.sessions = SessionStore()
-
-    def handle(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
-        if msg.type == MSG_PRESENT_REQUEST:
-            session = PresentationSession(thread_id=msg.thread_id, role="prover")
-            session.advance("requested")
-            self.sessions.put(session)
-            kinds = msg.body.get("kinds", [KIND_AUTHN])
-            creds = self.wallet(kinds)
-            if not creds:
-                session.fail()
-                return msg.reply(MSG_DENY, {"reason": "no_matching_credentials"})
-            vp = build_presentation(self.holder_keys, self.holder_did, creds,
-                                    b64u_decode(msg.body["challenge"]))
-            session.advance("presented")
-            return msg.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
-        session = self.sessions.get(msg.thread_id)
-        if session is None:
-            return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
-        if msg.type == MSG_ACK:
-            session.advance("verified")
-        elif msg.type == MSG_DENY:
-            session.advance("denied")
-        return msg.reply(MSG_ACK, {})
-
-
 # --- access-control handshake ------------------------------------------------------
 
 
@@ -375,7 +270,7 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> Handshak
     """
     peer_did = str(peer_did)
     session = HandshakeSession(thread_id=str(uuid.uuid4()), peer=peer_did,
-                               direction="initiator", consumer_is_local=True)
+                               direction="initiator")
     session.advance("identifying")
 
     challenge = fresh_challenge()
@@ -438,23 +333,27 @@ class HandshakeResponder:
         session = self.sessions.get(msg.thread_id)
         if session is None or session.peer != sender:
             return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
-        if msg.type == MSG_ACK and session.phase == "identifying":
+        if msg.type == MSG_ACK and session.state == "identifying":
             return self._on_identified(msg, session)
-        if msg.type == MSG_PRESENTATION and session.phase == "authorizing":
+        if msg.type == MSG_PRESENTATION and session.state == "authorizing":
             return self._on_authorize(msg, session)
         if msg.type == MSG_DENY:
             session.fail()
             self.sessions.drop(msg.thread_id)
             return msg.reply(MSG_ACK, {})
         session.fail()
-        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type} in {session.phase}"})
+        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type} in {session.state}"})
 
     def _on_identify(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
-        session = HandshakeSession(thread_id=msg.thread_id, peer=sender,
-                                   direction="responder", consumer_is_local=False)
+        try:
+            vp = self.profile.identity_vp(b64u_decode(msg.body["challenge"]))
+        except PresentationError:
+            # Nothing to present (empty wallet or unusable challenge): refuse
+            # up front rather than leave a half-open session behind.
+            return msg.reply(MSG_DENY, {"reason": "cannot_present"})
+        session = HandshakeSession(thread_id=msg.thread_id, peer=sender, direction="responder")
         session.advance("identifying")
         self.sessions.put(session)
-        vp = self.profile.identity_vp(b64u_decode(msg.body["challenge"]))
         return msg.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
 
     def _on_identified(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 import uuid
@@ -46,7 +47,6 @@ from .errors import (
     HandshakeRejectedError,
     PeerUnreachableError,
     ProtocolError,
-    RegistryError,
     RegistryUnavailableError,
     StalePeerKeyError,
 )
@@ -56,8 +56,8 @@ from .identity import (
     Resolver,
     create_registry_did,
     generate_keypair,
+    publish_document,
     rotate_document,
-    self_sign_document,
 )
 from .protocols import (
     HandshakeProfile,
@@ -215,10 +215,6 @@ class Sidecar:
         self._assoc_lock = threading.Lock()
         self._handshake_locks: dict[str, threading.Lock] = {}
 
-        # Peer documents are pinned here, not in the shared resolver cache,
-        # because staleness policy is the sidecar's own: with refresh
-        # disabled a stale entry is used as-is, never silently refetched.
-        self._peer_docs: dict[str, dict] = {}
         self._channels: dict[str, EnvelopeChannel] = {}
 
         self.peer_server: EnvelopeHttpServer | None = None
@@ -245,33 +241,12 @@ class Sidecar:
                   intercept_port: int = 0) -> None:
         """Bind both listeners, register the DID, and start serving."""
         self.peer_server = EnvelopeHttpServer(self, self.handle_inbound, host, peer_port)
-        self.current_doc = self._publish_document(self.peer_server.endpoint)
+        self.current_doc = publish_document(self.registry, self.resolver, self.keys,
+                                            self.peer_server.endpoint)
         self.doc_version = self.current_doc.version
         self.intercept_server = HttpService(_make_intercept_handler(self), host, intercept_port)
         self.peer_server.start()
         self.intercept_server.start()
-
-    def _publish_document(self, endpoint: str):
-        """First run registers the DID; a restart republishes it.
-
-        A restarted sidecar binds a fresh port, so the same identity usually
-        needs a new document version even though its keys are unchanged.
-        """
-        _, doc = create_registry_did(self.keys, endpoint)
-        try:
-            self.registry.register(self_sign_document(doc, self.keys))
-            return doc
-        except RegistryError as exc:
-            if exc.code != "already_exists":
-                raise
-        latest = self.resolver.resolve(self.did, policy="force_fresh")
-        if (latest.signing_key == self.keys.signing_public
-                and latest.service_endpoint == endpoint):
-            return latest
-        update = rotate_document(latest, self.keys, self.keys.signing_secret,
-                                 service_endpoint=endpoint)
-        self.registry.update(update)
-        return update.document
 
     def shutdown(self) -> None:
         if self.peer_server is not None:
@@ -320,36 +295,23 @@ class Sidecar:
     # -- peer documents -------------------------------------------------------------
 
     def _peer_doc(self, peer: str):
-        entry = self._peer_docs.get(peer)
-        now = time.time()
-        if entry is None:
-            doc = self.resolver.resolve(peer, policy="force_fresh")
-            entry = {"doc": doc, "fetched_at": now, "degraded": False}
-            self._peer_docs[peer] = entry
-            return doc
-        stale = now - entry["fetched_at"] > self.cache_max_age
-        if stale and self.refresh_enabled:
-            self._refresh_entry(peer, entry)
-        return entry["doc"]
+        # Staleness policy is the sidecar's own: with refresh disabled a
+        # cached document is used however old it is.
+        max_age = self.cache_max_age if self.refresh_enabled else math.inf
+        doc = self.resolver.cache.get(peer, max_age=max_age)
+        return doc if doc is not None else self.refresh_peer_document(peer)
 
-    def _refresh_entry(self, peer: str, entry: dict) -> None:
+    def refresh_peer_document(self, peer: str):
+        """Fetch the peer's current document, regardless of age or the
+        refresh setting. A registry outage keeps any stale cached copy."""
         try:
-            entry["doc"] = self.resolver.resolve(peer, policy="force_fresh")
-            entry["fetched_at"] = time.time()
-            entry["degraded"] = False
+            return self.resolver.resolve(peer, policy="force_fresh")
         except RegistryUnavailableError as exc:
-            entry["degraded"] = True
+            stale = self.resolver.cache.get(peer, max_age=math.inf)
+            if stale is None:
+                raise
             log.warning("%s: keeping stale document for %s: %s", self.name, peer, exc)
-
-    def refresh_peer_document(self, peer: str) -> None:
-        """Explicit refresh, regardless of age or the refresh setting."""
-        entry = self._peer_docs.setdefault(
-            peer, {"doc": None, "fetched_at": 0.0, "degraded": False}
-        )
-        self._refresh_entry(peer, entry)
-        if entry["doc"] is None:
-            self._peer_docs.pop(peer, None)
-            raise RegistryUnavailableError(f"no document for {peer} could ever be fetched")
+            return stale
 
     # -- outbound path ---------------------------------------------------------------
 
@@ -412,7 +374,7 @@ class Sidecar:
         """
         self._drop_outbound(peer)
         self._channels.pop(peer, None)
-        self._peer_docs.pop(peer, None)
+        self.resolver.cache.drop(peer)
 
     def intercept(self, method: str, path: str, headers: list[tuple[str, str]],
                   body: bytes, host: str) -> tuple[int, list[tuple[str, str]], bytes]:
@@ -543,12 +505,12 @@ def _json_error(status: int, code: str, detail: str) -> tuple[int, list, bytes]:
 
 def _make_intercept_handler(sidecar: Sidecar):
     class InterceptHandler(QuietHandler):
-        def _proxy(self, method: str) -> None:
+        def _proxy(self) -> None:
             host = self.headers.get("Host", "")
             headers = [(k, v) for k, v in self.headers.items()]
             body = self.read_body()
             status, resp_headers, resp_body = sidecar.intercept(
-                method, self.path, headers, body, host
+                self.command, self.path, headers, body, host
             )
             content_type = "application/octet-stream"
             extra = []
@@ -559,19 +521,6 @@ def _make_intercept_handler(sidecar: Sidecar):
                     extra.append((key, value))
             self.send_bytes(status, resp_body, content_type, extra)
 
-        def do_GET(self):
-            self._proxy("GET")
-
-        def do_POST(self):
-            self._proxy("POST")
-
-        def do_PUT(self):
-            self._proxy("PUT")
-
-        def do_PATCH(self):
-            self._proxy("PATCH")
-
-        def do_DELETE(self):
-            self._proxy("DELETE")
+        do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _proxy
 
     return InterceptHandler

@@ -32,9 +32,9 @@ _STATUS_BY_CODE = {
 
 def _make_handler(registry: Registry):
     class RegistryHandler(QuietHandler):
-        def _dispatch(self, method: str) -> None:
+        def _dispatch(self) -> None:
             try:
-                self._route(method)
+                self._route(self.command)
             except RegistryError as exc:
                 status = _STATUS_BY_CODE.get(exc.code, 400)
                 self.send_json(status, {"error": exc.code, "message": str(exc)})
@@ -78,14 +78,8 @@ def _make_handler(registry: Registry):
             else:
                 self.send_json(404, {"error": "not_found", "message": self.path})
 
-        def do_GET(self):
-            self._dispatch("GET")
-
-        def do_POST(self):
-            self._dispatch("POST")
-
-        def do_PUT(self):
-            self._dispatch("PUT")
+        # Other methods keep the stdlib's 501.
+        do_GET = do_POST = do_PUT = _dispatch
 
     return RegistryHandler
 

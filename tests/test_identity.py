@@ -14,6 +14,7 @@ from sbacl.identity import (
     extract_peer_document,
     generate_keypair,
     parse_did,
+    publish_document,
     resolve,
     rotate_document,
     self_sign_document,
@@ -142,6 +143,33 @@ def test_resolution_cache_expires_entries():
     cache.put(doc)
     cache.drop(did)
     assert cache.get(did) is None
+
+
+def test_resolution_cache_max_age_per_call():
+    cache = ResolutionCache(max_age=0.05)
+    did, doc = create_peer_did(generate_keypair())
+    cache.put(doc, now=100.0)
+    assert cache.get(did, now=100.02, max_age=0.01) is None
+    assert cache.get(did, now=200.0, max_age=float("inf")) is doc
+    assert cache.get(did, now=200.0) is None  # the cache's own bound is untouched
+
+
+def test_publish_document_registers_then_republishes(registry):
+    keys = generate_keypair()
+    resolver = Resolver(registry)
+    first = publish_document(registry, resolver, keys, "http://127.0.0.1:1")
+    assert first.version == 1
+
+    # a restart on the same endpoint reuses the published version
+    again = publish_document(registry, resolver, keys, "http://127.0.0.1:1")
+    assert again.version == 1
+
+    # a restart on a new endpoint rotates to it, keys unchanged
+    moved = publish_document(registry, resolver, keys, "http://127.0.0.1:2")
+    assert moved.version == 2
+    assert moved.service_endpoint == "http://127.0.0.1:2"
+    assert moved.signing_key == keys.signing_public
+    assert registry.resolve_did(str(moved.did)) == moved
 
 
 def test_resolve_peer_needs_no_registry():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -299,6 +300,24 @@ def test_protocol_unknown_thread_and_sequencing(domain):
     hijack = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
                              thread_id=offer2.thread_id)
     assert child.handle(hijack, "did:speer:other").body["reason"] == "unknown_thread"
+
+
+def test_reaped_offer_leaves_no_thread_state(registry):
+    root = make_root(registry)
+    child = make_child(registry, root, session_timeout=0.0)
+    _, holder_did, _ = enrolled_holder(child)
+
+    offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}})
+    assert child.handle(offer, holder_did).type != MSG_DENY
+    assert len(child.sessions.reap(now=time.time() + 1)) == 1
+
+    # nothing on the issuer still remembers the timed-out thread
+    assert len(child.sessions) == 0
+    holders = [v for v in vars(child).values() if isinstance(v, (dict, set, list))]
+    assert not any(offer.thread_id in holder for holder in holders)
+
+    late = ProtocolMessage(MSG_PRESENTATION, {"presentation": {}}, thread_id=offer.thread_id)
+    assert child.handle(late, holder_did).body["reason"] == "unknown_thread"
 
 
 def test_protocol_request_must_match_offer(domain):

@@ -38,13 +38,10 @@ from sbacl.protocols import (
     HandshakeResponder,
     HandshakeSession,
     IssuanceSession,
-    PresentationProver,
-    PresentationSession,
     SessionStore,
     producer_authz_gate,
     run_handshake,
     run_issuance,
-    run_presentation,
 )
 
 from conftest import peer_identity
@@ -69,15 +66,13 @@ class DirectChannel:
 def _fresh_session(cls):
     if cls is IssuanceSession:
         return cls(thread_id="t", role="holder")
-    if cls is PresentationSession:
-        return cls(thread_id="t", role="prover")
     return cls(thread_id="t", peer="p", direction="initiator")
 
 
 @settings(max_examples=60)
 @given(data=st.data())
 def test_only_tabled_transitions_are_possible(data):
-    cls = data.draw(st.sampled_from([IssuanceSession, PresentationSession, HandshakeSession]))
+    cls = data.draw(st.sampled_from([IssuanceSession, HandshakeSession]))
     session = _fresh_session(cls)
     all_states = sorted(cls.EDGES)
     for _ in range(data.draw(st.integers(1, 8))):
@@ -128,10 +123,9 @@ def test_session_store_reaps_idle_sessions():
 
 def test_terminal_sessions_survive_reaping():
     store = SessionStore(timeout=0.0)
-    done = _fresh_session(PresentationSession)
-    done.advance("requested")
-    done.advance("presented")
-    done.advance("verified")
+    done = _fresh_session(IssuanceSession)
+    for state in ("offered", "requested", "issued", "done"):
+        done.advance(state)
     done.updated_at = time.time() - 3600
     store.put(done)
     assert store.reap() == []
@@ -268,77 +262,6 @@ def test_issuance_rejects_mismatched_credential(issuance_world):
         run_issuance(issuer, holder_keys, holder_did, [bootstrap], KIND_AUTHN, {})
 
 
-# --- presentation exchange ------------------------------------------------------
-
-
-@pytest.fixture()
-def prover_world():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
-    authn = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
-    wallet = {KIND_AUTHN: [authn]}
-    prover = PresentationProver(
-        holder_keys, holder_did,
-        wallet=lambda kinds: [c for k in kinds for c in wallet.get(k, [])],
-    )
-    return root_did, holder_did, prover
-
-
-def test_presentation_exchange(prover_world):
-    root_did, holder_did, prover = prover_world
-    channel = DirectChannel(prover.handle, holder_did)
-    verdict, vp = run_presentation(channel, [KIND_AUTHN],
-                                   TrustPolicy.trusting(root_did), RESOLVER)
-    assert verdict.ok
-    assert vp.holder == holder_did
-
-
-def test_presentation_empty_wallet(prover_world):
-    root_did, holder_did, _ = prover_world
-    prover_keys, prover_did = peer_identity()
-    broke = PresentationProver(prover_keys, prover_did, wallet=lambda kinds: [])
-    channel = DirectChannel(broke.handle, prover_did)
-    with pytest.raises(ProtocolError):
-        run_presentation(channel, [KIND_AUTHN], TrustPolicy.trusting(root_did), RESOLVER)
-
-
-def test_presentation_missing_requested_kind(prover_world):
-    root_did, holder_did, prover = prover_world
-    channel = DirectChannel(prover.handle, holder_did)
-    with pytest.raises(ProtocolError) as err:
-        run_presentation(channel, [KIND_AUTHN, KIND_AUTHZ],
-                         TrustPolicy.trusting(root_did), RESOLVER)
-    assert "requested" in str(err.value)
-
-
-def test_presentation_untrusted_issuer(prover_world):
-    _, holder_did, prover = prover_world
-    _, other_root = peer_identity()
-    channel = DirectChannel(prover.handle, holder_did)
-    verdict, _ = run_presentation(channel, [KIND_AUTHN],
-                                  TrustPolicy.trusting(other_root), RESOLVER)
-    assert not verdict.ok
-    assert "chain_untrusted" in verdict.failures
-
-
-def test_presentation_expected_holder_pinning(prover_world):
-    root_did, holder_did, prover = prover_world
-    _, somebody_else = peer_identity()
-    channel = DirectChannel(prover.handle, holder_did)
-    verdict, _ = run_presentation(channel, [KIND_AUTHN],
-                                  TrustPolicy.trusting(root_did), RESOLVER,
-                                  expected_holder=somebody_else)
-    assert verdict.failures == ["subject_mismatch"]
-
-
-def test_prover_ignores_unknown_threads(prover_world):
-    _, holder_did, prover = prover_world
-    orphan = ProtocolMessage(MSG_ACK, {}, thread_id="never-seen")
-    reply = prover.handle(orphan, holder_did)
-    assert reply.type == MSG_DENY
-    assert reply.body["reason"] == "unknown_thread"
-
-
 # --- handshake ------------------------------------------------------------------
 
 
@@ -408,6 +331,17 @@ def test_handshake_rejects_untrusted_producer():
     assert world.established == []
 
 
+def test_handshake_producer_with_empty_wallet():
+    world = HandshakeWorld()
+    world.responder.profile.identity_vp = lambda ch: build_presentation(
+        world.prod_keys, world.prod_did, [], ch)
+    with pytest.raises(HandshakeRejectedError) as err:
+        world.run()
+    assert err.value.reason == "peer_refused_identification"
+    assert world.established == []
+    assert len(world.responder.sessions) == 0
+
+
 def test_handshake_gate_requires_matching_authz():
     world = HandshakeWorld(authz_producer="PCF")
     with pytest.raises(HandshakeRejectedError) as err:
@@ -450,7 +384,9 @@ def test_handshake_replayed_presentation_is_pinned_to_peer():
 def test_handshake_unknown_thread_and_wrong_sender():
     world = HandshakeWorld()
     orphan = ProtocolMessage(MSG_ACK, {}, thread_id="nope")
-    assert world.responder.handle(orphan, world.cons_did).type == MSG_DENY
+    reply = world.responder.handle(orphan, world.cons_did)
+    assert reply.type == MSG_DENY
+    assert reply.body["reason"] == "unknown_thread"
 
     # open a real session, then continue it claiming a different sender
     opener = ProtocolMessage(MSG_PRESENT_REQUEST,

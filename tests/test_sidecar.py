@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 import requests
@@ -9,6 +10,7 @@ from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import Association, AssociationStore, LocalService, RouteRule, Sidecar
 from sbacl.vdr import Registry
+from sbacl.vdr_http import RegistryHttpClient, RegistryServer
 
 
 @pytest.fixture()
@@ -61,9 +63,9 @@ class World:
 
         self.provision(self.producer, {"nf_type": "UDM", "domain": "core"}, [])
 
-    def make_consumer(self, name, grants, store=None, keys=None, **kwargs):
+    def make_consumer(self, name, grants, store=None, keys=None, registry=None, **kwargs):
         consumer = Sidecar(
-            name, "AMF", self.registry,
+            name, "AMF", registry or self.registry,
             local_nf_url=self.consumer_nf.base_url,
             trusted_roots=[self.root.did],
             routes=[RouteRule(host="UDM-1", target_did=self.producer.did)],
@@ -325,6 +327,24 @@ def test_rotation_without_refresh_surfaces_stale_key(world):
     # the explicit operator refresh repairs it
     world.consumer.refresh_peer_document(world.producer.did)
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+
+
+def test_registry_outage_keeps_the_stale_peer_document(world, caplog):
+    server = RegistryServer(world.registry).start()
+    world.started.append(server.stop)
+    consumer = world.make_consumer(
+        "AMF-2", [{"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}],
+        registry=RegistryHttpClient(server.base_url, timeout=2.0))
+    assert world.call("GET", "/nudm-sdm/v2/data", consumer=consumer).status_code == 200
+
+    consumer.cache_max_age = 0.0  # the peer document is due for refresh on every call
+    server.stop()
+    with caplog.at_level(logging.WARNING, logger="sbacl.sidecar"):
+        resp = world.call("GET", "/nudm-sdm/v2/data", consumer=consumer)
+    assert resp.status_code == 200
+    assert resp.json() == {"data": "subscriber"}
+    assert "keeping stale document" in caplog.text
+    assert consumer.handshakes_initiated == 1
 
 
 # --- association store -------------------------------------------------------------
