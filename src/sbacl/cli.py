@@ -20,7 +20,7 @@ from .harness import (
     load_json,
     run_scenario,
 )
-from .identity import Resolver, generate_keypair
+from .identity import generate_keypair
 from .ipmf import Ipmf, load_config
 from .protocols import run_issuance
 from .sidecar import LocalService, RouteRule, Sidecar
@@ -153,11 +153,7 @@ def sidecar_run(config_path: str) -> None:
 
     if raw.get("credential_requests"):
         ipmf_did = raw["ipmf_did"]
-        resolver = Resolver(client)
-        channel = EnvelopeChannel(
-            local_did=instance.did, local_keys=instance.keys,
-            peer_doc=lambda: resolver.resolve(ipmf_did), resolver=resolver,
-        )
+        channel = EnvelopeChannel(instance, lambda: instance.resolver.resolve(ipmf_did))
         for request in raw["credential_requests"]:
             vc = run_issuance(channel, instance.keys, instance.did,
                               bootstrap_creds, request["kind"], request["claims"])

@@ -13,9 +13,8 @@ come back as plain JSON error bodies with HTTP 400.
 
 from __future__ import annotations
 
+import json
 import logging
-
-import requests
 
 from .envelope import ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     StalePeerKeyError,
     WireFormatError,
 )
-from .httputil import HttpService, QuietHandler
+from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .identity import DidDocument
 
 log = logging.getLogger(__name__)
@@ -39,52 +38,34 @@ _CONTENT_TYPE = "application/octet-stream"
 class EnvelopeChannel:
     """Request/reply envelope exchange with a single peer.
 
-    `peer_doc` is a zero-argument callable so the owner can swap in a
-    refreshed document between calls; `endpoint` defaults to the service
-    endpoint published in that document.
+    `owner` supplies the live identity as it does for `EnvelopeHttpServer`:
+    `did`, `keys` and `resolver` are read per request. `peer_doc` is a
+    zero-argument callable so the owner can swap in a refreshed document
+    between calls; requests go to the service endpoint it publishes.
     """
 
-    def __init__(
-        self,
-        local_did,
-        local_keys,
-        peer_doc,
-        resolver,
-        endpoint: str | None = None,
-        timeout: float = 10.0,
-        tap=None,
-    ):
-        self.local_did = str(local_did)
-        self.local_keys = local_keys
+    def __init__(self, owner, peer_doc, timeout: float = 10.0):
+        self.owner = owner
         self._peer_doc = peer_doc
-        self.resolver = resolver
-        self._endpoint = endpoint
-        self.timeout = timeout
-        self.tap = tap
-        self._session = requests.Session()
+        self._http = HttpClient(timeout)
 
     def request(self, msg: ProtocolMessage) -> ProtocolMessage:
         peer_doc: DidDocument = self._peer_doc()
-        url = self._endpoint or peer_doc.service_endpoint
+        url = peer_doc.service_endpoint
         if not url:
             raise ProtocolError(f"peer {peer_doc.did} publishes no service endpoint")
-        wire = encode_wire(pack(msg, self.local_keys, self.local_did, peer_doc))
-        if self.tap is not None:
-            self.tap("send", wire)
+        # One read, so the reply opens with the key the request went out with.
+        keys = self.owner.keys
+        wire = encode_wire(pack(msg, keys, self.owner.did, peer_doc))
         try:
-            resp = self._session.post(
-                url.rstrip("/") + ENVELOPE_PATH,
-                data=wire,
-                headers={"Content-Type": _CONTENT_TYPE},
-                timeout=self.timeout,
+            status, _, body = self._http.request(
+                "POST", url.rstrip("/") + ENVELOPE_PATH, wire, {"Content-Type": _CONTENT_TYPE}
             )
-        except requests.RequestException as exc:
+        except HTTP_ERRORS as exc:
             raise PeerUnreachableError(f"{peer_doc.did} at {url}: {exc}") from exc
-        if resp.status_code != 200:
-            self._raise_for_error(resp)
-        if self.tap is not None:
-            self.tap("recv", resp.content)
-        reply, sender = unpack(decode_wire(resp.content), self.local_keys, self.resolver)
+        if status != 200:
+            self._raise_for_error(status, body)
+        reply, sender = unpack(decode_wire(body), keys, self.owner.resolver)
         if sender != str(peer_doc.did):
             raise ProtocolError(f"reply authenticated as {sender}, expected {peer_doc.did}")
         if reply.thread_id != msg.thread_id:
@@ -92,17 +73,18 @@ class EnvelopeChannel:
         return reply
 
     @staticmethod
-    def _raise_for_error(resp) -> None:
+    def _raise_for_error(status: int, body: bytes) -> None:
+        text = body.decode("utf-8", "replace")
         try:
-            body = resp.json()
-            code = body.get("error", "")
+            error = json.loads(text)
+            code = error.get("error", "")
         except ValueError:
-            body, code = {}, ""
+            error, code = {}, ""
         if code == "stale_recipient_key":
             raise StalePeerKeyError(
-                f"peer holds key version {body.get('current')}, envelope used {body.get('got')}"
+                f"peer holds key version {error.get('current')}, envelope used {error.get('got')}"
             )
-        raise ProtocolError(f"peer returned HTTP {resp.status_code}: {code or resp.text[:200]}")
+        raise ProtocolError(f"peer returned HTTP {status}: {code or text[:200]}")
 
 
 def _make_handler(owner, dispatch):

@@ -13,6 +13,8 @@ only figure meant to carry across machines.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import statistics
 import time
@@ -20,12 +22,10 @@ from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
 
-import requests
-
 from .credentials import KIND_AUTHN, KIND_AUTHZ, VerifiableCredential
 from .envelope_http import EnvelopeChannel
 from .errors import ConfigError, SbaclError
-from .identity import Resolver
+from .httputil import HttpClient
 from .ipmf import Ipmf, PolicyRule
 from .mocknf import Behavior, MockNf
 from .protocols import run_issuance
@@ -118,16 +118,11 @@ class Topology:
     ipmfs: dict[str, Ipmf]
     nfs: dict[str, NfHandle]
     config: dict
+    # Stops every component, newest first; filled by `launch_topology`.
+    teardown: contextlib.ExitStack = dc_field(default_factory=contextlib.ExitStack, init=False)
 
     def shutdown(self) -> None:
-        for handle in self.nfs.values():
-            handle.sidecar.shutdown()
-            handle.mock.stop()
-        for ipmf in self.ipmfs.values():
-            ipmf.shutdown()
-        for root in self.roots.values():
-            root.shutdown()
-        self.registry_server.stop()
+        self.teardown.close()
 
     def handshake_total(self) -> int:
         return sum(h.sidecar.handshakes_initiated for h in self.nfs.values())
@@ -168,162 +163,123 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
 
     Components run as in-process servers on ephemeral localhost ports.
     `state_dir`, when given, holds the registry log and the sidecars'
-    association stores so restarts can be exercised.
+    association stores so restarts can be exercised. A failure part way
+    stops everything started so far, newest first, and re-raises; on
+    success the same stack becomes `Topology.teardown`.
     """
     validate_topology(config)
     state_dir = Path(state_dir) if state_dir else None
     if state_dir:
         state_dir.mkdir(parents=True, exist_ok=True)
-
-    registry = Registry(log_path=state_dir / "registry.jsonl" if state_dir else None)
-    registry_server = RegistryServer(registry)
-    registry_server.start()
-    client = RegistryHttpClient(registry_server.base_url)
-
-    try:
-        return _provision(config, registry, registry_server, client, state_dir)
-    except BaseException:
-        registry_server.stop()
-        raise
-
-
-def _provision(config: dict, registry: Registry, registry_server: RegistryServer,
-               client: RegistryHttpClient, state_dir: Path | None) -> Topology:
-    started: list = []
-
-    def _unwind() -> None:
-        for thing in reversed(started):
-            try:
-                thing()
-            except Exception:
-                pass
-
-    try:
-        return _provision_inner(config, registry, registry_server, client,
-                                state_dir, started)
-    except BaseException:
-        _unwind()
-        raise
-
-
-def _provision_inner(config: dict, registry: Registry, registry_server: RegistryServer,
-                     client: RegistryHttpClient, state_dir: Path | None,
-                     started: list) -> Topology:
-
     domains = {d["name"]: d for d in config.get("domains", [])}
 
-    # Roots first: they anchor every chain and must resolve for anyone.
-    roots: dict[str, Ipmf] = {}
-    root_of_domain: dict[str, Ipmf] = {}
-    for domain in domains.values():
-        root = Ipmf(name=domain["root"]["name"], registry=client)
-        root.bootstrap(serve=False)
-        started.append(root.shutdown)
-        roots[root.name] = root
-        root_of_domain[domain["name"]] = root
+    with contextlib.ExitStack() as started:
+        registry = Registry(log_path=state_dir / "registry.jsonl" if state_dir else None)
+        registry_server = RegistryServer(registry)
+        registry_server.start()
+        started.callback(registry_server.stop)
+        client = RegistryHttpClient(registry_server.base_url)
 
-    # Child IPMFs with their delegation chains, policies, and foreign trust.
-    ipmfs: dict[str, Ipmf] = {}
-    for domain in domains.values():
-        foreign_roots = [
-            str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
-        ]
-        for entry in domain.get("ipmfs", []):
-            root = root_of_domain[domain["name"]]
-            child = Ipmf(
-                name=entry["name"],
+        # Roots first: they anchor every chain and must resolve for anyone.
+        roots: dict[str, Ipmf] = {}
+        root_of_domain: dict[str, Ipmf] = {}
+        for domain in domains.values():
+            root = Ipmf(name=domain["root"]["name"], registry=client)
+            root.bootstrap(serve=False)
+            started.callback(root.shutdown)
+            roots[root.name] = root
+            root_of_domain[domain["name"]] = root
+
+        # Child IPMFs with their delegation chains, policies, and foreign trust.
+        ipmfs: dict[str, Ipmf] = {}
+        for domain in domains.values():
+            foreign_roots = [
+                str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
+            ]
+            for entry in domain.get("ipmfs", []):
+                root = root_of_domain[domain["name"]]
+                child = Ipmf(
+                    name=entry["name"],
+                    registry=client,
+                    policy=_derive_policy(config, entry["name"]),
+                    trusted_foreign_roots=foreign_roots,
+                    issuance_log=(state_dir / f"{entry['name']}-issued.jsonl") if state_dir else None,
+                )
+                delegation = root.delegate_to_child(child.did, entry.get("rights", ALL_IPMF_RIGHTS))
+                child.parent_chain = [delegation]
+                child.bootstrap()
+                started.callback(child.shutdown)
+                ipmfs[child.name] = child
+
+        # Mock NFs and sidecars; routes are wired in a second pass once every
+        # sidecar has a DID.
+        nfs: dict[str, NfHandle] = {}
+        for nf in config.get("nfs", []):
+            domain = domains[nf["domain"]]
+            mock = MockNf(nf["name"], nf["nf_type"],
+                          [Behavior.from_dict(b) for b in nf.get("behaviors", [])]).start()
+            started.callback(mock.stop)
+            trusted = [str(root_of_domain[nf["domain"]].did)] + [
+                str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
+            ]
+            sidecar = Sidecar(
+                name=f"{nf['name']}-sidecar",
+                nf_type=nf["nf_type"],
                 registry=client,
-                policy=_derive_policy(config, entry["name"]),
-                trusted_foreign_roots=foreign_roots,
-                issuance_log=(state_dir / f"{entry['name']}-issued.jsonl") if state_dir else None,
+                local_nf_url=mock.base_url,
+                trusted_roots=trusted,
+                local_services=[LocalService(s["name"], s["path_prefix"])
+                                for s in nf.get("services", [])],
+                association_store=(state_dir / f"{nf['name']}-assoc.jsonl") if state_dir else None,
             )
-            delegation = root.delegate_to_child(child.did, entry.get("rights", ALL_IPMF_RIGHTS))
-            child.parent_chain = [delegation]
-            child.bootstrap()
-            started.append(child.shutdown)
-            ipmfs[child.name] = child
-
-    # Mock NFs and sidecars; routes are wired in a second pass once every
-    # sidecar has a DID.
-    nfs: dict[str, NfHandle] = {}
-    for nf in config.get("nfs", []):
-        domain = domains[nf["domain"]]
-        mock = MockNf(nf["name"], nf["nf_type"],
-                      [Behavior.from_dict(b) for b in nf.get("behaviors", [])]).start()
-        started.append(mock.stop)
-        trusted = [str(root_of_domain[nf["domain"]].did)] + [
-            str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
-        ]
-        sidecar = Sidecar(
-            name=f"{nf['name']}-sidecar",
-            nf_type=nf["nf_type"],
-            registry=client,
-            local_nf_url=mock.base_url,
-            trusted_roots=trusted,
-            local_services=[LocalService(s["name"], s["path_prefix"])
-                            for s in nf.get("services", [])],
-            association_store=(state_dir / f"{nf['name']}-assoc.jsonl") if state_dir else None,
-        )
-        sidecar.bootstrap()
-        started.append(sidecar.shutdown)
-        nfs[nf["name"]] = NfHandle(
-            name=nf["name"], nf_type=nf["nf_type"], domain=nf["domain"],
-            ipmf_name=nf["ipmf"], mock=mock, sidecar=sidecar,
-            grants=list(nf.get("grants", [])),
-        )
-
-    for nf in config.get("nfs", []):
-        handle = nfs[nf["name"]]
-        handle.sidecar.routes = [
-            RouteRule(
-                host=route["host"],
-                target_did=nfs[route["target"]].sidecar.did,
-                path_prefix=route.get("path_prefix", "/"),
-                service=route.get("service", ""),
-            )
-            for route in nf.get("routes", [])
-        ]
-
-    # Provisioning: bootstrap credential directly from the NF's IPMF, then
-    # operational credentials through the issuance protocol proper.
-    resolver = Resolver(client)
-    for handle in nfs.values():
-        ipmf = ipmfs[handle.ipmf_name]
-        bootstrap = ipmf.issue_credential_to(
-            handle.sidecar.did, KIND_AUTHN,
-            {"nf_type": handle.nf_type, "domain": handle.domain, "bootstrap": "true"},
-        )
-        handle.bootstrap_creds = [bootstrap]
-
-        def channel_to(target: Ipmf, sc=handle.sidecar):
-            return EnvelopeChannel(
-                local_did=sc.did, local_keys=sc.keys,
-                peer_doc=lambda t=target: resolver.resolve(t.did),
-                resolver=resolver,
+            sidecar.bootstrap()
+            started.callback(sidecar.shutdown)
+            nfs[nf["name"]] = NfHandle(
+                name=nf["name"], nf_type=nf["nf_type"], domain=nf["domain"],
+                ipmf_name=nf["ipmf"], mock=mock, sidecar=sidecar,
+                grants=list(nf.get("grants", [])),
             )
 
-        authn = run_issuance(
-            channel_to(ipmf), handle.sidecar.keys, handle.sidecar.did,
-            handle.bootstrap_creds, KIND_AUTHN,
-            {"nf_type": handle.nf_type, "domain": handle.domain},
-        )
-        handle.sidecar.add_credential(authn)
-        handle.operational_creds.append(authn)
-        for grant in handle.grants:
-            issuer = ipmfs[grant.get("ipmf", handle.ipmf_name)]
-            authz = run_issuance(
-                channel_to(issuer), handle.sidecar.keys, handle.sidecar.did,
-                handle.bootstrap_creds, KIND_AUTHZ,
-                {"producer": grant["producer"], "service": grant["service"],
-                 "ops": grant["ops"]},
-            )
-            handle.sidecar.add_credential(authz)
-            handle.operational_creds.append(authz)
+        for nf in config.get("nfs", []):
+            handle = nfs[nf["name"]]
+            handle.sidecar.routes = [
+                RouteRule(
+                    host=route["host"],
+                    target_did=nfs[route["target"]].sidecar.did,
+                    path_prefix=route.get("path_prefix", "/"),
+                    service=route.get("service", ""),
+                )
+                for route in nf.get("routes", [])
+            ]
 
-    return Topology(
-        registry=registry, registry_server=registry_server, client=client,
-        roots=roots, ipmfs=ipmfs, nfs=nfs, config=config,
-    )
+        # Provisioning: bootstrap credential directly from the NF's IPMF, then
+        # operational credentials through the issuance protocol proper, each
+        # sidecar resolving (and caching) its issuers with its own resolver.
+        for handle in nfs.values():
+            sc = handle.sidecar
+            ipmf = ipmfs[handle.ipmf_name]
+            bootstrap = ipmf.issue_credential_to(
+                sc.did, KIND_AUTHN,
+                {"nf_type": handle.nf_type, "domain": handle.domain, "bootstrap": "true"},
+            )
+            handle.bootstrap_creds = [bootstrap]
+
+            wanted = [(ipmf, KIND_AUTHN, {"nf_type": handle.nf_type, "domain": handle.domain})]
+            wanted += [(ipmfs[grant.get("ipmf", handle.ipmf_name)], KIND_AUTHZ,
+                        {k: grant[k] for k in ("producer", "service", "ops")})
+                       for grant in handle.grants]
+            for issuer, kind, claims in wanted:
+                channel = EnvelopeChannel(sc, functools.partial(sc.resolver.resolve, issuer.did))
+                vc = run_issuance(channel, sc.keys, sc.did, handle.bootstrap_creds, kind, claims)
+                sc.add_credential(vc)
+                handle.operational_creds.append(vc)
+
+        topology = Topology(
+            registry=registry, registry_server=registry_server, client=client,
+            roots=roots, ipmfs=ipmfs, nfs=nfs, config=config,
+        )
+        topology.teardown = started.pop_all()
+        return topology
 
 
 # --- scenario execution -------------------------------------------------------------
@@ -372,7 +328,7 @@ def run_scenario(topology: Topology, script: dict, mode: str,
     if mode not in ("plain", "tunneled"):
         raise ValueError(f"unknown mode {mode!r}")
     validate_script(script, topology.config)
-    session = requests.Session()
+    client = HttpClient(timeout=30)
     results: list[StepResult] = []
     handshakes_before = topology.handshake_total()
     started = time.perf_counter()
@@ -390,12 +346,12 @@ def run_scenario(topology: Topology, script: dict, mode: str,
             data = json.dumps(step["body"], sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
         step_start = time.perf_counter()
-        resp = session.request(step["method"], url, data=data, headers=headers, timeout=30)
+        status, _, body = client.request(step["method"], url, data, headers)
         result = StepResult(
             index=index, caller=step["caller"], callee=step["callee"],
             method=step["method"], path=step["path"],
             expected_status=int(step["expected_status"]),
-            status=resp.status_code, body=resp.content,
+            status=status, body=body,
             elapsed_s=time.perf_counter() - step_start,
         )
         results.append(result)

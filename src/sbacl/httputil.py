@@ -1,4 +1,5 @@
-"""Small helpers shared by every HTTP service in the package.
+"""Small helpers shared by every HTTP service in the package, and the
+client that every internal hop uses to reach them.
 
 All services (registry, sidecars, mock NFs) are stdlib threading HTTP
 servers bound to an ephemeral port by default, which keeps the harness free
@@ -7,11 +8,17 @@ of port bookkeeping.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
+
+# What a failed exchange raises; each caller maps it to its own error.
+HTTP_ERRORS = (OSError, http.client.HTTPException)
 
 
 class QuietHandler(BaseHTTPRequestHandler):
@@ -124,3 +131,58 @@ class HttpService:
             self.server.sever_connections()
             self.server.server_close()
             self._started = False
+
+
+class HttpClient:
+    """Keep-alive HTTP/1.1 client, shared by threads; ignores proxy settings.
+
+    Idle connections wait in one lock-guarded list per host:port, so open
+    connections never outnumber requests in flight.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+
+    def request(self, method: str, url: str, body: bytes | None = None,
+                headers: dict[str, str] | None = None):
+        """Returns (status, headers, body). A failed exchange closes its
+        connection and raises one of `HTTP_ERRORS`."""
+        parts = urlsplit(url)
+        try:
+            if parts.scheme != "http" or not parts.hostname:
+                raise ValueError("not an http:// URL with a host")
+            key = (parts.hostname, parts.port)
+        except ValueError as exc:  # also raised for a port that is not a number
+            raise http.client.InvalidURL(f"{url!r}: {exc}") from None
+        with self._lock:
+            idle = self._idle.get(key)
+            conn = idle.pop() if idle else http.client.HTTPConnection(*key, timeout=self.timeout)
+        # A server that closed an idle keep-alive leaves its socket readable
+        # (poll, unlike select, takes any fd). `sock` is None after
+        # `Connection: close`; http.client reconnects then.
+        if conn.sock is not None:
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if poller.poll(0):
+                conn.close()
+        try:
+            conn.request(method, parts.path + (f"?{parts.query}" if parts.query else ""),
+                         body, headers or {})
+            resp = conn.getresponse()
+            data = resp.read()
+        except ValueError as exc:  # a method or header http.client refuses to send
+            conn.close()
+            raise http.client.HTTPException(str(exc)) from exc
+        except HTTP_ERRORS:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.setdefault(key, []).append(conn)
+        return resp.status, resp.headers, data
+
+    def __del__(self):  # nothing else holds the client: close its pooled sockets
+        for conns in self._idle.values():
+            for conn in conns:
+                conn.close()

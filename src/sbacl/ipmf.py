@@ -46,7 +46,7 @@ from .envelope_http import EnvelopeHttpServer
 from .crypto import ed25519_sign
 from .errors import ConfigError, IssuanceError, RegistryError
 from .identity import KeyPair, Resolver, create_registry_did, generate_keypair, publish_document
-from .protocols import IssuanceSession, SessionStore
+from .protocols import IssuanceSession, SessionStore, body_field
 from .vdr import revocation_request_bytes, revoke_request_bytes
 
 log = logging.getLogger(__name__)
@@ -386,7 +386,10 @@ class Ipmf:
 
     def _on_identification(self, msg: ProtocolMessage,
                            session: IssuanceSession) -> ProtocolMessage:
-        vp = VerifiablePresentation.from_dict(msg.body["presentation"])
+        vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
+        if vp is None:
+            self._fail(session)
+            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         verdict = verify_presentation(
             vp, session.challenge, self.trust_policy(), self.resolver,
             revocation_client=self.registry,

@@ -52,6 +52,14 @@ from .errors import (
 DEFAULT_SESSION_TIMEOUT = 10.0
 
 
+def body_field(msg: ProtocolMessage, key: str, parse):
+    """`parse(msg.body[key])`, or None when the peer sent it missing or malformed."""
+    try:
+        return parse(msg.body[key])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 class _Session:
     """Common transition plumbing; subclasses define the edge table."""
 
@@ -244,7 +252,7 @@ class HandshakeProfile:
     resolver: object
     revocation_client: object = None
     identity_vp: object = None  # callable(challenge) -> VerifiablePresentation
-    combined_vp: object = None  # callable(challenge, peer_did) -> VerifiablePresentation
+    combined_vp: object = None  # callable(challenge) -> VerifiablePresentation
     authz_gate: object = None  # callable(list of claims dicts) -> bool
 
 
@@ -282,7 +290,10 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> Handshak
     if reply.type != MSG_PRESENTATION:
         session.fail()
         raise HandshakeRejectedError("peer_refused_identification", reply.type)
-    vp = VerifiablePresentation.from_dict(reply.body["presentation"])
+    vp = body_field(reply, "presentation", VerifiablePresentation.from_dict)
+    if vp is None:
+        session.fail()
+        raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
                                   profile.revocation_client)
     if verdict.ok and vp.holder != peer_did:
@@ -300,8 +311,11 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> Handshak
         raise HandshakeRejectedError("peer_skipped_authorization_challenge", reply.type)
     session.advance("authorizing")
 
-    peer_challenge = b64u_decode(reply.body["challenge"])
-    our_vp = profile.combined_vp(peer_challenge, peer_did)
+    peer_challenge = body_field(reply, "challenge", b64u_decode)
+    if peer_challenge is None:
+        session.fail()
+        raise HandshakeRejectedError("malformed_reply")
+    our_vp = profile.combined_vp(peer_challenge)
     reply = channel.request(ProtocolMessage(
         MSG_PRESENTATION, {"presentation": our_vp.to_dict()}, thread_id=session.thread_id,
     ))
@@ -345,8 +359,11 @@ class HandshakeResponder:
         return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type} in {session.state}"})
 
     def _on_identify(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
+        challenge = body_field(msg, "challenge", b64u_decode)
+        if challenge is None:
+            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         try:
-            vp = self.profile.identity_vp(b64u_decode(msg.body["challenge"]))
+            vp = self.profile.identity_vp(challenge)
         except PresentationError:
             # Nothing to present (empty wallet or unusable challenge): refuse
             # up front rather than leave a half-open session behind.
@@ -366,21 +383,19 @@ class HandshakeResponder:
         })
 
     def _on_authorize(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:
-        vp = VerifiablePresentation.from_dict(msg.body["presentation"])
+        vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
+        if vp is None:
+            return self._refuse(msg, session, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.profile.trust,
                                       self.profile.resolver, self.profile.revocation_client)
         if verdict.ok and vp.holder != session.peer:
             verdict = Verdict.from_failures(["subject_mismatch"])
         if not verdict.ok:
-            session.fail()
-            self.sessions.drop(msg.thread_id)
-            return msg.reply(MSG_DENY, {"failures": verdict.failures})
+            return self._refuse(msg, session, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)
         gate = self.profile.authz_gate or (lambda claims: True)
         if not gate(authz_claims):
-            session.fail()
-            self.sessions.drop(msg.thread_id)
-            return msg.reply(MSG_DENY, {"failures": ["insufficient_rights"]})
+            return self._refuse(msg, session, {"failures": ["insufficient_rights"]})
         session.authn_claims = _extract_claims(vp, KIND_AUTHN)
         session.authz_claims = authz_claims
         session.advance("established")
@@ -388,3 +403,9 @@ class HandshakeResponder:
         if self.on_established is not None:
             self.on_established(session)
         return msg.reply(MSG_ACK, {})
+
+    def _refuse(self, msg: ProtocolMessage, session: HandshakeSession,
+                body: dict) -> ProtocolMessage:
+        session.fail()
+        self.sessions.drop(msg.thread_id)
+        return msg.reply(MSG_DENY, body)

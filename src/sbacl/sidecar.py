@@ -22,10 +22,8 @@ import math
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
-
-import requests
 
 from .credentials import (
     KIND_AUTHN,
@@ -50,7 +48,7 @@ from .errors import (
     RegistryUnavailableError,
     StalePeerKeyError,
 )
-from .httputil import HttpService, QuietHandler
+from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .identity import (
     KeyPair,
     Resolver,
@@ -106,13 +104,7 @@ class Association:
     created_at: int = dc_field(default_factory=lambda: int(time.time()))
 
     def to_dict(self) -> dict:
-        return {
-            "peer": self.peer,
-            "direction": self.direction,
-            "established": self.established,
-            "authz_claims": self.authz_claims,
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Association":
@@ -162,7 +154,6 @@ class AssociationStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(assoc.to_dict(), sort_keys=True) + "\n")
-                fh.flush()
 
 
 class Sidecar:
@@ -183,7 +174,6 @@ class Sidecar:
         refresh_enabled: bool = True,
         require_revocation_check: bool = True,
         session_timeout: float = 10.0,
-        wire_tap=None,
     ):
         self.name = name
         self.nf_type = nf_type
@@ -200,7 +190,6 @@ class Sidecar:
         self.cache_max_age = cache_max_age
         self.refresh_enabled = refresh_enabled
         self.session_timeout = session_timeout
-        self.wire_tap = wire_tap
 
         self.did_obj, doc = create_registry_did(self.keys)
         self.did = str(self.did_obj)
@@ -220,7 +209,7 @@ class Sidecar:
         self.peer_server: EnvelopeHttpServer | None = None
         self.intercept_server: HttpService | None = None
         self.handshakes_initiated = 0
-        self._local_http = requests.Session()
+        self._local_http = HttpClient(session_timeout)
 
         self.responder = HandshakeResponder(
             profile=HandshakeProfile(
@@ -284,7 +273,7 @@ class Sidecar:
     def _identity_vp(self, challenge: bytes):
         return build_presentation(self.keys, self.did, list(self.authn_creds), challenge)
 
-    def _combined_vp(self, challenge: bytes, peer_did: str):
+    def _combined_vp(self, challenge: bytes):
         # All AuthZ credentials travel along; the producer's gate picks out
         # whatever names it. Selecting by peer NF type would require knowing
         # it before the handshake finishes.
@@ -318,17 +307,8 @@ class Sidecar:
     def _channel(self, peer: str) -> EnvelopeChannel:
         channel = self._channels.get(peer)
         if channel is None:
-            channel = EnvelopeChannel(
-                local_did=self.did,
-                local_keys=self.keys,
-                peer_doc=lambda: self._peer_doc(peer),
-                resolver=self.resolver,
-                timeout=self.session_timeout,
-                tap=self.wire_tap,
-            )
+            channel = EnvelopeChannel(self, lambda: self._peer_doc(peer), self.session_timeout)
             self._channels[peer] = channel
-        # Keys may have rotated since the channel was built.
-        channel.local_keys = self.keys
         return channel
 
     def _route(self, host: str, path: str) -> RouteRule | None:
@@ -469,22 +449,20 @@ class Sidecar:
             log.info("%s: denying %s %s for %s", self.name, method, path, sender)
             return self._tunnel_response(msg, 403, {"error": "authorization_denied"})
         try:
-            resp = self._local_http.request(
-                method,
-                self.local_nf_url + path,
-                headers={k: v for k, v in msg.body.get("headers", [])},
-                data=b64u_decode(msg.body["body"]),
-                timeout=self.session_timeout,
+            status, resp_headers, resp_body = self._local_http.request(
+                method, self.local_nf_url + path, b64u_decode(msg.body["body"]),
+                # framing is ours: a peer's Content-Length could smuggle a request
+                {k: v for k, v in msg.body.get("headers", []) if k.lower() not in HOP_HEADERS},
             )
-        except requests.RequestException as exc:
+        except HTTP_ERRORS as exc:
             log.warning("%s: local NF unreachable: %s", self.name, exc)
             return self._tunnel_response(msg, 502, {"error": "local_nf_unreachable"})
-        headers = [[k, v] for k, v in resp.headers.items() if k.lower() not in HOP_HEADERS]
+        headers = [[k, v] for k, v in resp_headers.items() if k.lower() not in HOP_HEADERS]
         return msg.reply(MSG_TUNNEL_RESPONSE, {
             "correlation_id": msg.body["correlation_id"],
-            "status": resp.status_code,
+            "status": status,
             "headers": headers,
-            "body": b64u_encode(resp.content),
+            "body": b64u_encode(resp_body),
         })
 
     @staticmethod

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import json
 
-import requests
-
 from .encoding import b64u_decode, b64u_encode
 from .errors import IdentityError, RegistryError, RegistryUnavailableError, UnknownDidError
 from .identity import Did, DidDocument, SignedDocumentUpdate
-from .httputil import HttpService, QuietHandler
+from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .vdr import Registry
 
 _STATUS_BY_CODE = {
@@ -95,23 +93,23 @@ class RegistryHttpClient:
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self._session = requests.Session()
+        self._http = HttpClient(timeout)
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
         try:
-            resp = self._session.request(
-                method, self.base_url + path, json=payload, timeout=self.timeout
+            status, _, data = self._http.request(
+                method, self.base_url + path, body, {"Content-Type": "application/json"}
             )
-        except requests.RequestException as exc:
+        except HTTP_ERRORS as exc:
             raise RegistryUnavailableError(f"registry at {self.base_url}: {exc}") from exc
-        if resp.status_code >= 400:
+        if status >= 400:
             try:
-                body = resp.json()
-                raise RegistryError(body["error"], body.get("message", ""))
+                error = json.loads(data)
+                raise RegistryError(error["error"], error.get("message", ""))
             except (ValueError, KeyError):
-                raise RegistryError("http_error", f"HTTP {resp.status_code}") from None
-        return resp.json()
+                raise RegistryError("http_error", f"HTTP {status}") from None
+        return json.loads(data)
 
     def register(self, update: SignedDocumentUpdate) -> None:
         self._request("POST", "/dids", update.to_dict())

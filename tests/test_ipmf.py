@@ -320,6 +320,22 @@ def test_reaped_offer_leaves_no_thread_state(registry):
     assert child.handle(late, holder_did).body["reason"] == "unknown_thread"
 
 
+def test_protocol_identification_without_presentation_is_denied(domain):
+    registry, root, child = domain
+    _, holder_did, _ = enrolled_holder(child)
+
+    offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}})
+    assert child.handle(offer, holder_did).type != MSG_DENY
+    empty = ProtocolMessage(MSG_PRESENTATION, {}, thread_id=offer.thread_id)
+    reply = child.handle(empty, holder_did)
+    assert reply.type == MSG_DENY
+    assert reply.body["reason"] == "malformed_message"
+    # the session failed: the thread cannot go on to a request
+    follow_up = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
+                                thread_id=offer.thread_id)
+    assert child.handle(follow_up, holder_did).body["reason"] == "unknown_thread"
+
+
 def test_protocol_request_must_match_offer(domain):
     registry, root, child = domain
     holder_keys, holder_did, bootstrap = enrolled_holder(child)

@@ -291,7 +291,7 @@ class HandshakeWorld:
         )
         self.initiator_profile = HandshakeProfile(
             local_did=self.cons_did, trust=trust, resolver=RESOLVER,
-            combined_vp=lambda ch, peer: build_presentation(
+            combined_vp=lambda ch: build_presentation(
                 self.cons_keys, self.cons_did, [self.cons_authn, self.cons_authz], ch),
         )
         self.channel = DirectChannel(self.responder.handle, self.cons_did)
@@ -358,7 +358,7 @@ def test_handshake_wildcard_authz_passes_gate():
 
 def test_handshake_consumer_without_authz():
     world = HandshakeWorld()
-    world.initiator_profile.combined_vp = lambda ch, peer: build_presentation(
+    world.initiator_profile.combined_vp = lambda ch: build_presentation(
         world.cons_keys, world.cons_did, [world.cons_authn], ch)
     with pytest.raises(HandshakeRejectedError) as err:
         world.run()
@@ -374,7 +374,7 @@ def test_handshake_replayed_presentation_is_pinned_to_peer():
     thief_authz = issue_credential(world.root_keys, world.root_did, KIND_AUTHZ, thief_did,
                                    {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"})
     # our consumer answers the producer's challenge with the thief's VP
-    world.initiator_profile.combined_vp = lambda ch, peer: build_presentation(
+    world.initiator_profile.combined_vp = lambda ch: build_presentation(
         thief_keys, thief_did, [thief_authn, thief_authz], ch)
     with pytest.raises(HandshakeRejectedError) as err:
         world.run()
@@ -412,6 +412,55 @@ def test_handshake_out_of_phase_message_fails_session():
     assert "unexpected" in reply.body["reason"]
     session = world.responder.sessions.get(opener.thread_id)
     assert session is not None and session.state == "rejected"
+
+
+def test_handshake_identify_without_challenge_is_denied():
+    world = HandshakeWorld()
+    for body in ({}, {"challenge": 7}, {"challenge": "not base64!"}):
+        reply = world.responder.handle(ProtocolMessage(MSG_PRESENT_REQUEST, body),
+                                       world.cons_did)
+        assert reply.type == MSG_DENY
+        assert reply.body["reason"] == "malformed_message"
+    assert len(world.responder.sessions) == 0
+
+
+def test_handshake_authorization_without_presentation_is_denied():
+    world = HandshakeWorld()
+    opener = ProtocolMessage(MSG_PRESENT_REQUEST,
+                             {"challenge": b64u_encode(fresh_challenge()),
+                              "kinds": [KIND_AUTHN]})
+    world.responder.handle(opener, world.cons_did)
+    world.responder.handle(ProtocolMessage(MSG_ACK, {}, thread_id=opener.thread_id),
+                           world.cons_did)
+    session = world.responder.sessions.get(opener.thread_id)
+    reply = world.responder.handle(
+        ProtocolMessage(MSG_PRESENTATION, {"presentation": "junk"}, thread_id=opener.thread_id),
+        world.cons_did)
+    assert reply.type == MSG_DENY
+    assert reply.body["reason"] == "malformed_message"
+    assert session.state == "rejected"
+    assert len(world.responder.sessions) == 0
+    assert world.established == []
+
+
+@pytest.mark.parametrize("reply_type,dropped", [
+    (MSG_PRESENT_REQUEST, "presentation"),
+    (MSG_ACK, "challenge"),
+])
+def test_handshake_malformed_producer_reply_is_rejected(reply_type, dropped):
+    world = HandshakeWorld()
+
+    def stripping(msg, sender):
+        reply = world.responder.handle(msg, sender)
+        if msg.type == reply_type:
+            reply.body.pop(dropped)
+        return reply
+
+    world.channel = DirectChannel(stripping, world.cons_did)
+    with pytest.raises(HandshakeRejectedError) as err:
+        world.run()
+    assert err.value.reason == "malformed_reply"
+    assert world.established == []
 
 
 def test_handshake_half_open_sessions_time_out():

@@ -1,10 +1,13 @@
 import json
 import logging
+import time
 
 import pytest
 import requests
 
 from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ
+from sbacl.encoding import b64u_encode
+from sbacl.envelope import MSG_TUNNEL_REQUEST, ProtocolMessage
 from sbacl.httputil import HttpService, QuietHandler
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
@@ -234,6 +237,29 @@ def test_hop_headers_do_not_cross_the_tunnel(world, tmp_path):
         echo.stop()
 
 
+@pytest.mark.parametrize("framing", [("Content-Length", "0"),
+                                     ("Transfer-Encoding", "chunked")])
+def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
+    # An associated peer that bypasses its own sidecar's header filter must
+    # not frame the body for the local NF: the smuggled DELETE below was
+    # never authorized and must not reach it.
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    smuggled = (b"DELETE /nudm-sdm/v2/data HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 0\r\n\r\n")
+    msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
+        "correlation_id": "c-1",
+        "method": "POST",
+        "path": "/nudm-uecm/v1/registrations",
+        "headers": [list(framing)],
+        "body": b64u_encode(smuggled),
+    })
+    reply = world.producer.handle_inbound(msg, world.consumer.did)
+    assert reply.body["status"] == 201
+    time.sleep(0.3)  # the NF would serve a smuggled request right after
+    assert world.producer_nf.requests == [
+        ("GET", "/nudm-sdm/v2/data"), ("POST", "/nudm-uecm/v1/registrations")]
+
+
 # --- restarts and state loss -------------------------------------------------------
 
 
@@ -345,6 +371,25 @@ def test_registry_outage_keeps_the_stale_peer_document(world, caplog):
     assert resp.json() == {"data": "subscriber"}
     assert "keeping stale document" in caplog.text
     assert consumer.handshakes_initiated == 1
+
+
+# --- unreachable hops -------------------------------------------------------------
+
+
+def test_unreachable_peer_answers_peer_timeout(world):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    world.producer.shutdown()  # the consumer's pooled connection is severed too
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert resp.status_code == 504
+    assert resp.json()["error"] == "peer_timeout"
+
+
+def test_unreachable_local_nf_answers_local_nf_unreachable(world):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    world.producer_nf.stop()
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert resp.status_code == 502
+    assert resp.json() == {"error": "local_nf_unreachable"}
 
 
 # --- association store -------------------------------------------------------------
