@@ -430,9 +430,13 @@ def verify_presentation(
     resolver,
     revocation_client=None,
     now: int | None = None,
+    expected_holder: str | None = None,
 ) -> Verdict:
     """Full presentation verification; returns a Verdict, raises only on
-    infrastructure faults (registry unreachable, revocation unavailable)."""
+    infrastructure faults (registry unreachable, revocation unavailable).
+
+    With `expected_holder`, a presentation that passes every other check
+    but was made by someone else fails as subject_mismatch."""
     now = int(time.time()) if now is None else int(now)
     failures: list[str] = []
 
@@ -470,6 +474,8 @@ def verify_presentation(
 
         failures.extend(verify_delegation_chain(vc, policy.trusted_roots, resolver))
 
+    if not failures and expected_holder is not None and vp.holder != expected_holder:
+        failures.append(FAIL_SUBJECT_MISMATCH)
     return Verdict.from_failures(failures)
 
 

@@ -3,7 +3,8 @@
 Everything that is signed or hashed goes through canonical_json so that
 two independent implementations of the same structure produce identical
 bytes. Binary values embedded in JSON use unpadded base64url; identifier
-strings use base58 with the bitcoin alphabet.
+strings use base58 with the bitcoin alphabet. Every durable log in the
+package is JSON lines, written and replayed through `JsonLines`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any
+import threading
+from pathlib import Path
+from typing import Any, Iterator
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
@@ -74,3 +77,35 @@ def canonical_json(obj: Any) -> bytes:
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+class JsonLines:
+    """An append-only file of sorted-key JSON objects, one per line.
+
+    Each append opens, writes and closes the file, so nothing holds it open
+    between writes. A path of None disables the log: appends are dropped
+    and there is nothing to replay.
+    """
+
+    def __init__(self, path: str | Path | None):
+        self.path = Path(path) if path else None
+        self._lock = threading.Lock()
+
+    def append(self, record: dict) -> None:
+        if self.path is None:
+            return
+        with self._lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def lines(self) -> Iterator[tuple[int, str]]:
+        """(line number, text) for each non-blank line, read in one go."""
+        if self.path is None or not self.path.exists():
+            return
+        with open(self.path, encoding="utf-8") as fh:
+            raw = fh.readlines()
+        for number, line in enumerate(raw, start=1):
+            line = line.strip()
+            if line:
+                yield number, line

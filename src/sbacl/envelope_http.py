@@ -19,6 +19,7 @@ import logging
 from .envelope import ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from .errors import (
     EnvelopeError,
+    IdentityError,
     PeerUnreachableError,
     ProtocolError,
     RegistryError,
@@ -90,21 +91,21 @@ class EnvelopeChannel:
 def _make_handler(owner, dispatch):
     class EnvelopeHandler(QuietHandler):
         def do_POST(self):
+            # Read first: an unread body would be parsed as the next request.
+            body = self.read_body()
             if self.path != ENVELOPE_PATH:
                 self.send_json(404, {"error": "not_found", "message": self.path})
                 return
             try:
-                env = decode_wire(self.read_body())
-                msg, sender = unpack(
-                    env, owner.keys, owner.resolver, local_key_version=owner.doc_version
-                )
+                msg, sender = unpack(decode_wire(body), owner.keys, owner.resolver,
+                                     local_key_version=owner.doc_version)
             except StaleKeyError as exc:
                 self.send_json(
                     400,
                     {"error": "stale_recipient_key", "got": exc.got, "current": exc.current},
                 )
                 return
-            except RegistryError as exc:
+            except (RegistryError, IdentityError) as exc:
                 log.warning("dropping envelope from unresolvable sender: %s", exc)
                 self.send_json(400, {"error": "unknown_sender", "message": str(exc)})
                 return
@@ -112,14 +113,18 @@ def _make_handler(owner, dispatch):
                 log.warning("dropping undecryptable envelope: %s", exc)
                 self.send_json(400, {"error": "bad_envelope", "message": str(exc)})
                 return
+            except Exception:
+                log.exception("cannot open envelope")
+                self.send_json(500, {"error": "internal"})
+                return
             try:
                 reply = dispatch(msg, sender)
+                sender_doc = owner.resolver.resolve(sender)
+                wire = encode_wire(pack(reply, owner.keys, owner.did, sender_doc))
             except Exception:
                 log.exception("dispatch failed for %s from %s", msg.type, sender)
                 self.send_json(500, {"error": "internal"})
                 return
-            sender_doc = owner.resolver.resolve(sender)
-            wire = encode_wire(pack(reply, owner.keys, owner.did, sender_doc))
             self.send_bytes(200, wire, _CONTENT_TYPE)
 
     return EnvelopeHandler

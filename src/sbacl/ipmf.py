@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .credentials import (
     fresh_challenge,
     verify_presentation,
 )
-from .encoding import b64u_decode, b64u_encode, sha256
+from .encoding import JsonLines, b64u_decode, b64u_encode, sha256
 from .envelope import (
     MSG_ACK,
     MSG_DENY,
@@ -187,21 +186,13 @@ class Ipmf:
         self.trusted_foreign_roots = {str(r) for r in trusted_foreign_roots}
         self.allow_direct_issuance = allow_direct_issuance
         self.resolver = resolver if resolver is not None else Resolver(registry)
-        self.did_obj, self._initial_doc = create_registry_did(self.keys)
-        self.did = str(self.did_obj)
+        self.did = str(create_registry_did(self.keys)[0])
         self.doc_version = 1
         self.revocation_registry_id: str | None = None
         self.server: EnvelopeHttpServer | None = None
         self.sessions = SessionStore(timeout=session_timeout)
-        self._issued_ids: set[str] = set()
-        self._log_lock = threading.Lock()
-        self._log_path = Path(issuance_log) if issuance_log else None
-        self._log_file = None
-        if self._log_path is not None and self._log_path.exists():
-            self._replay_log()
-        if self._log_path is not None:
-            self._log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._log_file = open(self._log_path, "a", encoding="utf-8")
+        self._log = JsonLines(issuance_log)
+        self._issued_ids = {json.loads(line)["credential_id"] for _, line in self._log.lines()}
 
     # -- identity and rights -------------------------------------------------
 
@@ -276,33 +267,20 @@ class Ipmf:
     def shutdown(self) -> None:
         if self.server is not None:
             self.server.stop()
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
 
     def _sign(self, data: bytes) -> bytes:
         return ed25519_sign(self.keys.signing_secret, data)
 
     # -- issuance log -----------------------------------------------------------
 
-    def _replay_log(self) -> None:
-        with open(self._log_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    self._issued_ids.add(json.loads(line)["credential_id"])
-
     def _log_issued(self, vc: VerifiableCredential) -> None:
-        with self._log_lock:
-            self._issued_ids.add(vc.credential_id)
-            if self._log_file is not None:
-                self._log_file.write(json.dumps({
-                    "credential_id": vc.credential_id,
-                    "kind": vc.kind,
-                    "subject": vc.subject,
-                    "issued_at": vc.issued_at,
-                }, sort_keys=True) + "\n")
-                self._log_file.flush()
+        self._issued_ids.add(vc.credential_id)
+        self._log.append({
+            "credential_id": vc.credential_id,
+            "kind": vc.kind,
+            "subject": vc.subject,
+            "issued_at": vc.issued_at,
+        })
 
     # -- direct operations (in-process / CLI) -------------------------------------
 
@@ -392,10 +370,8 @@ class Ipmf:
             return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         verdict = verify_presentation(
             vp, session.challenge, self.trust_policy(), self.resolver,
-            revocation_client=self.registry,
+            revocation_client=self.registry, expected_holder=session.subject_did,
         )
-        if verdict.ok and vp.holder != session.subject_did:
-            verdict = creds.Verdict.from_failures(["subject_mismatch"])
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
                      self.name, session.subject_did, verdict.failures)

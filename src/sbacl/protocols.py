@@ -22,7 +22,6 @@ from .credentials import (
     KIND_AUTHN,
     KIND_AUTHZ,
     TrustPolicy,
-    Verdict,
     VerifiableCredential,
     VerifiablePresentation,
     build_presentation,
@@ -196,7 +195,10 @@ def run_issuance(
         raise ProtocolError(f"expected identification request, got {reply.type}")
     session.advance("offered")
 
-    challenge = b64u_decode(reply.body["challenge"])
+    challenge = body_field(reply, "challenge", b64u_decode)
+    if challenge is None:
+        session.fail()
+        raise ProtocolError("identification request carries no usable challenge")
     wanted_kinds = set(reply.body.get("kinds", [KIND_AUTHN]))
     creds = [c for c in bootstrap_creds if c.kind in wanted_kinds]
     if not creds:
@@ -223,7 +225,10 @@ def run_issuance(
     if reply.type != MSG_ISSUE:
         session.fail()
         raise ProtocolError(f"expected issued credential, got {reply.type}")
-    vc = VerifiableCredential.from_dict(reply.body["credential"])
+    vc = body_field(reply, "credential", VerifiableCredential.from_dict)
+    if vc is None:
+        session.fail()
+        raise ProtocolError("issue message carries no usable credential")
     session.advance("issued")
     if vc.subject != holder_did or vc.kind != kind:
         session.fail()
@@ -295,9 +300,7 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> Handshak
         session.fail()
         raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
-                                  profile.revocation_client)
-    if verdict.ok and vp.holder != peer_did:
-        verdict = Verdict.from_failures(["subject_mismatch"])
+                                  profile.revocation_client, expected_holder=peer_did)
     if not verdict.ok:
         channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
         session.fail()
@@ -387,9 +390,8 @@ class HandshakeResponder:
         if vp is None:
             return self._refuse(msg, session, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.profile.trust,
-                                      self.profile.resolver, self.profile.revocation_client)
-        if verdict.ok and vp.holder != session.peer:
-            verdict = Verdict.from_failures(["subject_mismatch"])
+                                      self.profile.resolver, self.profile.revocation_client,
+                                      expected_holder=session.peer)
         if not verdict.ok:
             return self._refuse(msg, session, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)

@@ -33,7 +33,7 @@ from .credentials import (
     build_presentation,
     evaluate_authorization,
 )
-from .encoding import b64u_decode, b64u_encode
+from .encoding import JsonLines, b64u_decode, b64u_encode
 from .envelope import (
     MSG_REHANDSHAKE,
     MSG_TUNNEL_REQUEST,
@@ -117,43 +117,25 @@ class Association:
         )
 
 
-class AssociationStore:
-    """JSON-lines persistence, one record per association state change.
+class AssociationStore(JsonLines):
+    """One record per association state change.
 
     Loading takes the last record per (peer, direction). A corrupt file is
     treated as absent: the sidecar starts with no associations and logs a
     warning, because guessing at partial state would be worse.
     """
 
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path else None
-        self._lock = threading.Lock()
-
     def load(self) -> dict[tuple[str, str], Association]:
-        if self.path is None or not self.path.exists():
-            return {}
-        loaded: dict[tuple[str, str], Association] = {}
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    assoc = Association.from_dict(json.loads(line))
-                    loaded[(assoc.peer, assoc.direction)] = assoc
+            records = [Association.from_dict(json.loads(line)) for _, line in self.lines()]
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("association store %s is corrupt (%s); starting empty",
                         self.path, exc)
             return {}
-        return loaded
+        return {(assoc.peer, assoc.direction): assoc for assoc in records}
 
     def append(self, assoc: Association) -> None:
-        if self.path is None:
-            return
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(assoc.to_dict(), sort_keys=True) + "\n")
+        super().append(assoc.to_dict())
 
 
 class Sidecar:
@@ -191,10 +173,8 @@ class Sidecar:
         self.refresh_enabled = refresh_enabled
         self.session_timeout = session_timeout
 
-        self.did_obj, doc = create_registry_did(self.keys)
-        self.did = str(self.did_obj)
-        self.current_doc = doc
-        self.doc_version = doc.version
+        did, self.current_doc = create_registry_did(self.keys)
+        self.did = str(did)
 
         self.authn_creds: list[VerifiableCredential] = []
         self.authz_creds: list[VerifiableCredential] = []
@@ -232,7 +212,6 @@ class Sidecar:
         self.peer_server = EnvelopeHttpServer(self, self.handle_inbound, host, peer_port)
         self.current_doc = publish_document(self.registry, self.resolver, self.keys,
                                             self.peer_server.endpoint)
-        self.doc_version = self.current_doc.version
         self.intercept_server = HttpService(_make_intercept_handler(self), host, intercept_port)
         self.peer_server.start()
         self.intercept_server.start()
@@ -242,6 +221,10 @@ class Sidecar:
             self.peer_server.stop()
         if self.intercept_server is not None:
             self.intercept_server.stop()
+
+    @property
+    def doc_version(self) -> int:
+        return self.current_doc.version
 
     @property
     def intercept_url(self) -> str:
@@ -266,7 +249,6 @@ class Sidecar:
         self.registry.update(update)
         self.keys = new_keys
         self.current_doc = update.document
-        self.doc_version = update.document.version
 
     # -- presentations ------------------------------------------------------------
 

@@ -6,9 +6,10 @@ is what makes updates owner-controlled without the registry holding any
 secrets. Revocation registries are monotonic credential-id sets writable
 only by their issuer.
 
-Accepted writes are appended to a JSON-lines log and flushed immediately;
-a restarted registry replays the log through the same validation paths, so
-a corrupted or hand-edited log is rejected rather than trusted.
+Each accepted write is appended to a JSON-lines log, which is opened for
+that one write and closed again; a restarted registry replays the log
+through the same validation paths, so a corrupted or hand-edited log is
+rejected rather than trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import crypto
-from .encoding import b58encode, b64u_decode, b64u_encode, canonical_json, sha256
+from .encoding import JsonLines, b58encode, b64u_decode, b64u_encode, canonical_json, sha256
 from .errors import RegistryError, UnknownDidError
 from .identity import (
     Did,
@@ -57,34 +58,16 @@ class Registry:
         self._records: dict[str, list[SignedDocumentUpdate]] = {}
         self._revregs: dict[str, RevocationRegistry] = {}
         self._lock = threading.RLock()
-        self._log_path = Path(log_path) if log_path else None
-        self._log_file = None
-        if self._log_path is not None:
-            if self._log_path.exists():
-                self._replay()
-            self._log_path.parent.mkdir(parents=True, exist_ok=True)
-            self._log_file = open(self._log_path, "a", encoding="utf-8")
+        self._log = JsonLines(log_path)
+        for line_no, line in self._log.lines():
+            try:
+                self._apply(json.loads(line))
+            except (ValueError, KeyError, RegistryError) as exc:
+                raise RegistryError(
+                    "corrupt_log", f"log line {line_no} failed replay: {exc}"
+                ) from exc
 
     # -- persistence ----------------------------------------------------------
-
-    def _append(self, event: dict) -> None:
-        if self._log_file is not None:
-            self._log_file.write(json.dumps(event, sort_keys=True) + "\n")
-            self._log_file.flush()
-
-    def _replay(self) -> None:
-        with open(self._log_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                    self._apply(event)
-                except (ValueError, KeyError, RegistryError) as exc:
-                    raise RegistryError(
-                        "corrupt_log", f"log line {line_no} failed replay: {exc}"
-                    ) from exc
 
     def _apply(self, event: dict) -> None:
         kind = event["event"]
@@ -109,11 +92,6 @@ class Registry:
         else:
             raise RegistryError("corrupt_log", f"unknown event kind {kind!r}")
 
-    def close(self) -> None:
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-
     # -- DID records -----------------------------------------------------------
 
     def register(self, update: SignedDocumentUpdate, _record: bool = True) -> None:
@@ -135,7 +113,7 @@ class Registry:
                 raise RegistryError("already_exists", f"{key} is already registered")
             self._records[key] = [update]
             if _record:
-                self._append({"event": "register", "update": update.to_dict()})
+                self._log.append({"event": "register", "update": update.to_dict()})
 
     def update(self, update: SignedDocumentUpdate, _record: bool = True) -> None:
         doc = update.document
@@ -156,7 +134,7 @@ class Registry:
                 raise RegistryError("bad_signature", "update not signed by the current key")
             versions.append(update)
             if _record:
-                self._append({"event": "update", "update": update.to_dict()})
+                self._log.append({"event": "update", "update": update.to_dict()})
 
     def resolve_did(self, did: Did | str) -> DidDocument:
         with self._lock:
@@ -199,7 +177,7 @@ class Registry:
                 registry_id=registry_id, issuer=issuer, updated_at=int(time.time())
             )
             if _record:
-                self._append({
+                self._log.append({
                     "event": "create_revreg",
                     "issuer": issuer,
                     "nonce": b64u_encode(nonce),
@@ -223,7 +201,7 @@ class Registry:
             reg.revoked.add(credential_id)
             reg.updated_at = int(time.time())
             if _record:
-                self._append({
+                self._log.append({
                     "event": "revoke",
                     "registryId": registry_id,
                     "credentialId": credential_id,

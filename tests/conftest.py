@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import io
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -34,6 +38,26 @@ def registry_http():
 @pytest.fixture
 def resolver(registry) -> Resolver:
     return Resolver(registry)
+
+
+def leaked_files(action, directory) -> list[str]:
+    """Run `action`; return what it left open: every ResourceWarning the
+    garbage collector raised, and every file under `directory` still open.
+
+    The second list matters when a stopped server's worker thread has not
+    exited yet and so keeps the owner of a leaked file alive.
+    """
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        action()
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    return leaks + [
+        obj.name for obj in gc.get_objects()
+        if isinstance(obj, io.IOBase) and not obj.closed
+        and str(getattr(obj, "name", "")).startswith(str(directory))
+    ]
 
 
 def peer_identity(seed: bytes | None = None):

@@ -11,7 +11,7 @@ from sbacl.identity import create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule
 from sbacl.mocknf import MockNf
 
-from conftest import MINI_SCRIPT, MINI_TOPOLOGY, peer_identity
+from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files, peer_identity
 
 SEED = bytes(range(32))
 
@@ -73,6 +73,35 @@ def test_delegate_prints_to_stdout_without_out(tmp_path):
     assert result.exit_code == 0, result.output
     vc = VerifiableCredential.from_dict(json.loads(result.output))
     assert vc.expires_at == vc.issued_at + 3600
+
+
+def test_delegate_and_revoke_leave_no_file_open(registry_http, tmp_path):
+    _, server, client = registry_http
+    log = tmp_path / "issued.jsonl"
+    root = Ipmf(name="root", registry=client, keys=generate_keypair(SEED))
+    root.bootstrap(serve=False)
+    config = write_json(tmp_path / "root.json", {
+        "name": "root",
+        "seed": b64u_encode(SEED),
+        "registry_url": server.base_url,
+        "issuance_log": str(log),
+    })
+    _, child_did = peer_identity()
+    results = []
+
+    def delegate():
+        results.append(invoke(ipmf, "delegate", "--config", config,
+                              "--child", child_did, "--rights", "delegate"))
+
+    def revoke():
+        credential_id = json.loads(results[0].output)["credential_id"]
+        results.append(invoke(ipmf, "revoke", "--config", config,
+                              "--registry-id", root.revocation_registry_id,
+                              "--credential", credential_id))
+
+    assert (leaked_files(delegate, tmp_path), leaked_files(revoke, tmp_path)) == ([], [])
+    assert [r.exit_code for r in results] == [0, 0], [r.output for r in results]
+    root.shutdown()
 
 
 def test_bad_config_is_rejected_with_all_problems(tmp_path):

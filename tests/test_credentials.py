@@ -316,6 +316,17 @@ def test_handcrafted_subject_mismatch_detected():
     assert "bad_vp_signature" not in verdict.failures
 
 
+def test_expected_holder_is_checked_only_on_an_otherwise_valid_presentation():
+    root_did, vp, challenge = presentation_for()
+    _, stranger = peer_identity()
+    assert verify(vp, challenge, [root_did], expected_holder=vp.holder).ok
+    assert verify(vp, challenge, [root_did],
+                  expected_holder=stranger).failures == ["subject_mismatch"]
+    # a presentation failing for its own reasons keeps exactly those reasons
+    assert verify(vp, fresh_challenge(), [root_did],
+                  expected_holder=stranger).failures == ["challenge_mismatch"]
+
+
 # -- authorization claim evaluation ---------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from sbacl.harness import (
     validate_topology,
 )
 
-from conftest import MINI_SCRIPT, MINI_TOPOLOGY
+from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,14 @@ def test_failed_launch_leaves_no_servers_behind():
     while threading.active_count() > threads_before and time.time() < deadline:
         time.sleep(0.05)
     assert threading.active_count() <= threads_before
+
+
+def test_state_dir_launch_leaves_no_file_open(tmp_path):
+    def launch_and_stop():
+        launch_topology(MINI_TOPOLOGY, state_dir=tmp_path).shutdown()
+
+    assert leaked_files(launch_and_stop, tmp_path) == []
+    assert (tmp_path / "registry.jsonl").read_text()
 
 
 def test_topology_exposes_components(mini):

@@ -336,6 +336,22 @@ def test_protocol_identification_without_presentation_is_denied(domain):
     assert child.handle(follow_up, holder_did).body["reason"] == "unknown_thread"
 
 
+def test_protocol_identification_by_another_holder_is_denied(domain):
+    registry, root, child = domain
+    _, holder_did, _ = enrolled_holder(child)
+    other_keys, other_did, other_bootstrap = enrolled_holder(child)
+
+    offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
+    reply = child.handle(offer, holder_did)
+    # valid in itself, but made by someone other than the thread's sender
+    vp = build_presentation(other_keys, other_did, [other_bootstrap],
+                            b64u_decode(reply.body["challenge"]))
+    reply = child.handle(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
+                                         thread_id=offer.thread_id), holder_did)
+    assert reply.type == MSG_DENY
+    assert reply.body["failures"] == ["subject_mismatch"]
+
+
 def test_protocol_request_must_match_offer(domain):
     registry, root, child = domain
     holder_keys, holder_did, bootstrap = enrolled_holder(child)

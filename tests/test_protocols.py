@@ -163,6 +163,8 @@ class MiniIssuer:
                 return msg.reply(MSG_ACK, {})
             if self.deny_at == "offer":
                 return msg.reply(MSG_DENY, {"reason": "kind_not_offered"})
+            if self.misbehave == "no_challenge":
+                return msg.reply(MSG_PRESENT_REQUEST, {"kinds": [KIND_AUTHN]})
             self.challenge = fresh_challenge()
             return msg.reply(MSG_PRESENT_REQUEST, {
                 "challenge": b64u_encode(self.challenge), "kinds": [KIND_AUTHN],
@@ -182,6 +184,8 @@ class MiniIssuer:
                 _, subject = peer_identity()
             vc = issue_credential(self.keys, self.did, msg.body["kind"], subject,
                                   msg.body["claims"])
+            if self.misbehave == "garbled_credential":
+                return msg.reply(MSG_ISSUE, {"credential": "not a credential"})
             return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})
         raise AssertionError(f"unexpected {msg.type}")
 
@@ -258,6 +262,14 @@ def test_issuance_out_of_order_reply(issuance_world):
 def test_issuance_rejects_mismatched_credential(issuance_world):
     root_keys, root_did, holder_keys, holder_did, bootstrap = issuance_world
     issuer = MiniIssuer(root_keys, root_did, root_did, misbehave="wrong_subject")
+    with pytest.raises(ProtocolError):
+        run_issuance(issuer, holder_keys, holder_did, [bootstrap], KIND_AUTHN, {})
+
+
+@pytest.mark.parametrize("misbehave", ["no_challenge", "garbled_credential"])
+def test_issuance_malformed_issuer_reply_is_a_protocol_error(issuance_world, misbehave):
+    root_keys, root_did, holder_keys, holder_did, bootstrap = issuance_world
+    issuer = MiniIssuer(root_keys, root_did, root_did, misbehave=misbehave)
     with pytest.raises(ProtocolError):
         run_issuance(issuer, holder_keys, holder_did, [bootstrap], KIND_AUTHN, {})
 

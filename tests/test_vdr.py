@@ -12,7 +12,7 @@ from sbacl.identity import (
 )
 from sbacl.vdr import Registry, revocation_request_bytes, revoke_request_bytes
 
-from conftest import peer_identity
+from conftest import leaked_files, peer_identity
 
 
 def register_identity(registry, endpoint=None):
@@ -198,6 +198,12 @@ def test_log_replay_rejects_tampered_event(tmp_path):
     with pytest.raises(RegistryError) as err:
         Registry(log_path=log)
     assert err.value.code == "corrupt_log"
+
+
+def test_dropped_registry_leaves_no_file_open(tmp_path):
+    log = tmp_path / "registry.jsonl"
+    assert leaked_files(lambda: register_identity(Registry(log_path=log)), tmp_path) == []
+    assert len(log.read_text().splitlines()) == 1
 
 
 def test_log_replay_rejects_garbage_line(tmp_path):
