@@ -135,8 +135,6 @@ def sidecar_run(config_path: str) -> None:
                         for s in raw.get("local_services", [])],
         association_store=raw.get("association_store"),
         cache_max_age=float(raw.get("cache_max_age", 300.0)),
-        refresh_enabled=bool(raw.get("refresh_enabled", True)),
-        require_revocation_check=bool(raw.get("require_revocation_check", True)),
     )
     bootstrap_creds = [
         VerifiableCredential.from_dict(load_json(p))

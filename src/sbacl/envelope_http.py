@@ -27,7 +27,7 @@ from .errors import (
     StalePeerKeyError,
     WireFormatError,
 )
-from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
+from .httputil import HTTP_ERRORS, HttpService, QuietHandler
 from .identity import DidDocument
 
 log = logging.getLogger(__name__)
@@ -40,15 +40,16 @@ class EnvelopeChannel:
     """Request/reply envelope exchange with a single peer.
 
     `owner` supplies the live identity as it does for `EnvelopeHttpServer`:
-    `did`, `keys` and `resolver` are read per request. `peer_doc` is a
-    zero-argument callable so the owner can swap in a refreshed document
-    between calls; requests go to the service endpoint it publishes.
+    `did`, `keys` and `resolver` are read per request, and requests go out
+    through `owner.http`, the one `HttpClient` the owner keeps for all its
+    peers. `peer_doc` is a zero-argument callable so the owner can swap in a
+    refreshed document between calls; requests go to the service endpoint
+    it publishes.
     """
 
-    def __init__(self, owner, peer_doc, timeout: float = 10.0):
+    def __init__(self, owner, peer_doc):
         self.owner = owner
         self._peer_doc = peer_doc
-        self._http = HttpClient(timeout)
 
     def request(self, msg: ProtocolMessage) -> ProtocolMessage:
         peer_doc: DidDocument = self._peer_doc()
@@ -59,7 +60,7 @@ class EnvelopeChannel:
         keys = self.owner.keys
         wire = encode_wire(pack(msg, keys, self.owner.did, peer_doc))
         try:
-            status, _, body = self._http.request(
+            status, _, body = self.owner.http.request(
                 "POST", url.rstrip("/") + ENVELOPE_PATH, wire, {"Content-Type": _CONTENT_TYPE}
             )
         except HTTP_ERRORS as exc:

@@ -14,11 +14,15 @@ import select
 import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 # What a failed exchange raises; each caller maps it to its own error.
 HTTP_ERRORS = (OSError, http.client.HTTPException)
+
+# How long HttpService.stop() waits for handlers still running.
+STOP_WAIT = 5.0
 
 
 class QuietHandler(BaseHTTPRequestHandler):
@@ -52,34 +56,37 @@ class QuietHandler(BaseHTTPRequestHandler):
 
 
 class _TrackingServer(ThreadingHTTPServer):
-    """Remembers accepted connections so stop() can sever idle keep-alives.
+    """Remembers each open connection and the worker thread serving it, so
+    stop() can sever idle keep-alives and wait for the workers.
 
     server_close() only closes the listening socket. With HTTP/1.1 a worker
     thread sits in a blocking read between requests on the same connection
-    and would otherwise linger until the client drops its end.
+    and would otherwise linger until the client drops its end. Workers stay
+    daemon threads, so a server nobody stops cannot block interpreter exit.
     """
-
-    daemon_threads = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._conn_lock = threading.Lock()
-        self._open_conns: set[socket.socket] = set()
+        self._workers: dict[socket.socket, threading.Thread] = {}
 
-    def get_request(self):
-        request, client_address = super().get_request()
+    def process_request(self, request, client_address):
+        worker = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
         with self._conn_lock:
-            self._open_conns.add(request)
-        return request, client_address
+            self._workers[request] = worker
+        worker.start()
 
     def shutdown_request(self, request):
         with self._conn_lock:
-            self._open_conns.discard(request)
+            self._workers.pop(request, None)
         super().shutdown_request(request)
 
-    def sever_connections(self) -> None:
+    def sever_connections(self, timeout: float) -> None:
+        """Shut every open connection down and wait up to `timeout` seconds
+        for the workers still serving them."""
         with self._conn_lock:
-            lingering = list(self._open_conns)
+            lingering = dict(self._workers)
         # shutdown() only; the worker that owns the socket does the close,
         # which avoids racing over a file descriptor another thread may reuse
         for conn in lingering:
@@ -87,6 +94,9 @@ class _TrackingServer(ThreadingHTTPServer):
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        deadline = time.monotonic() + timeout
+        for worker in lingering.values():
+            worker.join(max(0.0, deadline - time.monotonic()))
 
     def handle_error(self, request, client_address):
         # connections we severed on purpose surface here as resets
@@ -126,10 +136,11 @@ class HttpService:
         return self
 
     def stop(self) -> None:
+        """Stop serving and wait, at most STOP_WAIT seconds, for the handlers."""
         if self._started:
             self.server.shutdown()
-            self.server.sever_connections()
             self.server.server_close()
+            self.server.sever_connections(STOP_WAIT)
             self._started = False
 
 
@@ -182,7 +193,13 @@ class HttpClient:
             self._idle.setdefault(key, []).append(conn)
         return resp.status, resp.headers, data
 
-    def __del__(self):  # nothing else holds the client: close its pooled sockets
-        for conns in self._idle.values():
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
             for conn in conns:
                 conn.close()
+
+    def __del__(self):  # nothing else holds the client: close its pooled sockets
+        self.close()

@@ -209,10 +209,9 @@ class Ipmf:
         """The root DID this IPMF's own issuances chain back to."""
         return self.parent_chain[0].issuer if self.parent_chain else self.did
 
-    def trust_policy(self, require_revocation_check: bool = True) -> TrustPolicy:
+    def trust_policy(self) -> TrustPolicy:
         roots = {self.trust_root} | self.trusted_foreign_roots
-        return TrustPolicy(trusted_roots=frozenset(roots),
-                           require_revocation_check=require_revocation_check)
+        return TrustPolicy(trusted_roots=frozenset(roots), require_revocation_check=True)
 
     @classmethod
     def from_config(cls, config: IpmfConfig, registry) -> "Ipmf":
@@ -353,7 +352,7 @@ class Ipmf:
             # Delegation runs through the administrative path, never the
             # NF-facing protocol.
             return msg.reply(MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
-        session = IssuanceSession(thread_id=msg.thread_id, role="issuer", offered_kind=kind,
+        session = IssuanceSession(thread_id=msg.thread_id, offered_kind=kind,
                                   subject_did=sender, challenge=fresh_challenge())
         session.advance("offered")
         self.sessions.put(session)

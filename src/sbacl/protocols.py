@@ -2,13 +2,14 @@
 handshake.
 
 Both run over a request/reply envelope channel. The initiating side
-drives the exchange as a sequence of synchronous calls; the responding side
-is a stateful handler keyed by thread id, because its view of one exchange
-spans several incoming messages.
+drives the exchange as a sequence of synchronous calls and keeps nothing
+but the thread id; the responding side is a stateful handler keyed by
+thread id, because its view of one exchange spans several incoming messages.
 
-State machines are explicit and unforgiving: every transition goes through
-`advance`, which rejects anything the legal-edge table does not allow, and
-idle sessions are reaped into their failure state after a timeout.
+The responding side's state machines are explicit and unforgiving: every
+transition goes through `advance`, which rejects anything the legal-edge
+table does not allow, and idle sessions are reaped into their failure state
+after a timeout.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class _Session:
 @dataclass
 class IssuanceSession(_Session):
     thread_id: str
-    role: str  # "issuer" | "holder"
     state: str = "start"
     offered_kind: str | None = None
     subject_did: str | None = None
@@ -107,7 +107,6 @@ class IssuanceSession(_Session):
 class HandshakeSession(_Session):
     thread_id: str
     peer: str
-    direction: str  # "initiator" | "responder"
     state: str = "idle"
     challenge: bytes | None = None
     authn_claims: list[dict] = dc_field(default_factory=list)
@@ -182,58 +181,42 @@ def run_issuance(
     against the issuer's challenge, answered from the bootstrap wallet),
     then request and issue.
     """
-    session = IssuanceSession(thread_id=str(uuid.uuid4()), role="holder", offered_kind=kind,
-                              subject_did=holder_did)
-
+    thread_id = str(uuid.uuid4())
     reply = channel.request(ProtocolMessage(MSG_OFFER, {"kind": kind, "claims": claims},
-                                            thread_id=session.thread_id))
+                                            thread_id=thread_id))
     if reply.type == MSG_DENY:
-        session.fail()
         raise PolicyDeniedError(reply.body.get("reason", str(reply.body)))
     if reply.type != MSG_PRESENT_REQUEST:
-        session.fail()
         raise ProtocolError(f"expected identification request, got {reply.type}")
-    session.advance("offered")
 
     challenge = body_field(reply, "challenge", b64u_decode)
     if challenge is None:
-        session.fail()
         raise ProtocolError("identification request carries no usable challenge")
     wanted_kinds = set(reply.body.get("kinds", [KIND_AUTHN]))
     creds = [c for c in bootstrap_creds if c.kind in wanted_kinds]
     if not creds:
-        session.fail()
         raise IdentificationRejectedError(
             f"no bootstrap credentials of kinds {sorted(wanted_kinds)} to present"
         )
     vp = build_presentation(holder_keys, holder_did, creds, challenge)
     reply = channel.request(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
-                                            thread_id=session.thread_id))
+                                            thread_id=thread_id))
     if reply.type == MSG_DENY:
-        session.fail()
         raise IdentificationRejectedError(str(reply.body.get("failures", reply.body)))
     if reply.type != MSG_ACK:
-        session.fail()
         raise ProtocolError(f"expected identification ack, got {reply.type}")
 
-    session.advance("requested")
     reply = channel.request(ProtocolMessage(MSG_REQUEST, {"kind": kind, "claims": claims},
-                                            thread_id=session.thread_id))
+                                            thread_id=thread_id))
     if reply.type == MSG_DENY:
-        session.fail()
         raise PolicyDeniedError(reply.body.get("reason", str(reply.body)))
     if reply.type != MSG_ISSUE:
-        session.fail()
         raise ProtocolError(f"expected issued credential, got {reply.type}")
     vc = body_field(reply, "credential", VerifiableCredential.from_dict)
     if vc is None:
-        session.fail()
         raise ProtocolError("issue message carries no usable credential")
-    session.advance("issued")
     if vc.subject != holder_did or vc.kind != kind:
-        session.fail()
         raise ProtocolError("issued credential does not match the request")
-    session.advance("done")
     return vc
 
 
@@ -242,17 +225,16 @@ def run_issuance(
 
 @dataclass
 class HandshakeProfile:
-    """Everything one side needs to run handshakes.
+    """Everything one party needs to run handshakes, in either role.
 
-    `identity_vp` answers an identification challenge with an AuthN-only
-    presentation. `combined_vp` (consumer side) answers the producer's
-    challenge with AuthN plus the AuthZ credentials relevant to that
-    producer. `authz_gate` (producer side) decides whether verified AuthZ
-    claims are sufficient to associate at all; per-operation enforcement
-    happens later, per tunneled request.
+    `identity_vp` (producer side) answers an identification challenge with
+    an AuthN-only presentation. `combined_vp` (consumer side) answers the
+    producer's challenge with AuthN plus the AuthZ credentials relevant to
+    that producer. `authz_gate` (producer side) decides whether verified
+    AuthZ claims are sufficient to associate at all; per-operation
+    enforcement happens later, per tunneled request.
     """
 
-    local_did: str
     trust: TrustPolicy
     resolver: object
     revocation_client: object = None
@@ -274,58 +256,44 @@ def _extract_claims(vp: VerifiablePresentation, kind: str) -> list[dict]:
     return [dict(c.claims) for c in vp.credentials if c.kind == kind]
 
 
-def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> HandshakeSession:
+def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dict]:
     """Consumer-initiated handshake: identify the producer, then identify
-    and authorize ourselves, ending established or rejected.
+    and authorize ourselves. Returns the producer's AuthN claims.
 
     Raises HandshakeRejectedError on any verification failure, after letting
     the peer know (a deny closes the thread on both sides).
     """
-    peer_did = str(peer_did)
-    session = HandshakeSession(thread_id=str(uuid.uuid4()), peer=peer_did,
-                               direction="initiator")
-    session.advance("identifying")
-
+    thread_id = str(uuid.uuid4())
     challenge = fresh_challenge()
     reply = channel.request(ProtocolMessage(
         MSG_PRESENT_REQUEST,
         {"challenge": b64u_encode(challenge), "kinds": [KIND_AUTHN]},
-        thread_id=session.thread_id,
+        thread_id=thread_id,
     ))
     if reply.type != MSG_PRESENTATION:
-        session.fail()
         raise HandshakeRejectedError("peer_refused_identification", reply.type)
     vp = body_field(reply, "presentation", VerifiablePresentation.from_dict)
     if vp is None:
-        session.fail()
         raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
-                                  profile.revocation_client, expected_holder=peer_did)
+                                  profile.revocation_client, expected_holder=str(peer_did))
     if not verdict.ok:
         channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
-        session.fail()
         raise HandshakeRejectedError("peer_identification_failed", ",".join(verdict.failures))
-    session.authn_claims = _extract_claims(vp, KIND_AUTHN)
-    session.advance("identified")
+    authn_claims = _extract_claims(vp, KIND_AUTHN)
 
-    reply = channel.request(ProtocolMessage(MSG_ACK, {}, thread_id=session.thread_id))
+    reply = channel.request(ProtocolMessage(MSG_ACK, {}, thread_id=thread_id))
     if reply.type != MSG_PRESENT_REQUEST:
-        session.fail()
         raise HandshakeRejectedError("peer_skipped_authorization_challenge", reply.type)
-    session.advance("authorizing")
-
     peer_challenge = body_field(reply, "challenge", b64u_decode)
     if peer_challenge is None:
-        session.fail()
         raise HandshakeRejectedError("malformed_reply")
     our_vp = profile.combined_vp(peer_challenge)
     reply = channel.request(ProtocolMessage(
-        MSG_PRESENTATION, {"presentation": our_vp.to_dict()}, thread_id=session.thread_id,
+        MSG_PRESENTATION, {"presentation": our_vp.to_dict()}, thread_id=thread_id,
     ))
     if reply.type == MSG_ACK:
-        session.advance("established")
-        return session
-    session.fail()
+        return authn_claims
     detail = ",".join(reply.body.get("failures", [])) or reply.body.get("reason", "")
     raise HandshakeRejectedError("authorization_denied", detail)
 
@@ -371,7 +339,7 @@ class HandshakeResponder:
             # Nothing to present (empty wallet or unusable challenge): refuse
             # up front rather than leave a half-open session behind.
             return msg.reply(MSG_DENY, {"reason": "cannot_present"})
-        session = HandshakeSession(thread_id=msg.thread_id, peer=sender, direction="responder")
+        session = HandshakeSession(thread_id=msg.thread_id, peer=sender)
         session.advance("identifying")
         self.sessions.put(session)
         return msg.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})

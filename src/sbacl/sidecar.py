@@ -61,6 +61,7 @@ from .protocols import (
     HandshakeProfile,
     HandshakeResponder,
     HandshakeSession,
+    body_field,
     producer_authz_gate,
     run_handshake,
 )
@@ -153,8 +154,6 @@ class Sidecar:
         keys: KeyPair | None = None,
         association_store: str | Path | None = None,
         cache_max_age: float = 300.0,
-        refresh_enabled: bool = True,
-        require_revocation_check: bool = True,
         session_timeout: float = 10.0,
     ):
         self.name = name
@@ -167,11 +166,9 @@ class Sidecar:
         self.resolver = Resolver(registry)
         self.trust = TrustPolicy(
             trusted_roots=frozenset(str(r) for r in trusted_roots),
-            require_revocation_check=require_revocation_check,
+            require_revocation_check=True,
         )
         self.cache_max_age = cache_max_age
-        self.refresh_enabled = refresh_enabled
-        self.session_timeout = session_timeout
 
         did, self.current_doc = create_registry_did(self.keys)
         self.did = str(did)
@@ -184,22 +181,23 @@ class Sidecar:
         self._assoc_lock = threading.Lock()
         self._handshake_locks: dict[str, threading.Lock] = {}
 
-        self._channels: dict[str, EnvelopeChannel] = {}
-
         self.peer_server: EnvelopeHttpServer | None = None
         self.intercept_server: HttpService | None = None
         self.handshakes_initiated = 0
+        # One client for every envelope hop (peers and IPMFs), one for the NF.
+        self.http = HttpClient(session_timeout)
         self._local_http = HttpClient(session_timeout)
 
+        self.profile = HandshakeProfile(
+            trust=self.trust,
+            resolver=self.resolver,
+            revocation_client=self.registry,
+            identity_vp=self._identity_vp,
+            combined_vp=self._combined_vp,
+            authz_gate=producer_authz_gate(self.nf_type),
+        )
         self.responder = HandshakeResponder(
-            profile=HandshakeProfile(
-                local_did=self.did,
-                trust=self.trust,
-                resolver=self.resolver,
-                revocation_client=self.registry,
-                identity_vp=self._identity_vp,
-                authz_gate=producer_authz_gate(self.nf_type),
-            ),
+            profile=self.profile,
             on_established=self._on_inbound_established,
             session_timeout=session_timeout,
         )
@@ -221,6 +219,8 @@ class Sidecar:
             self.peer_server.stop()
         if self.intercept_server is not None:
             self.intercept_server.stop()
+        self.http.close()
+        self._local_http.close()
 
     @property
     def doc_version(self) -> int:
@@ -266,15 +266,14 @@ class Sidecar:
     # -- peer documents -------------------------------------------------------------
 
     def _peer_doc(self, peer: str):
-        # Staleness policy is the sidecar's own: with refresh disabled a
-        # cached document is used however old it is.
-        max_age = self.cache_max_age if self.refresh_enabled else math.inf
-        doc = self.resolver.cache.get(peer, max_age=max_age)
+        # Staleness policy is the sidecar's own: with `cache_max_age` set to
+        # math.inf a cached document is used however old it is.
+        doc = self.resolver.cache.get(peer, max_age=self.cache_max_age)
         return doc if doc is not None else self.refresh_peer_document(peer)
 
     def refresh_peer_document(self, peer: str):
-        """Fetch the peer's current document, regardless of age or the
-        refresh setting. A registry outage keeps any stale cached copy."""
+        """Fetch the peer's current document, regardless of age. A registry
+        outage keeps any stale cached copy."""
         try:
             return self.resolver.resolve(peer, policy="force_fresh")
         except RegistryUnavailableError as exc:
@@ -287,11 +286,7 @@ class Sidecar:
     # -- outbound path ---------------------------------------------------------------
 
     def _channel(self, peer: str) -> EnvelopeChannel:
-        channel = self._channels.get(peer)
-        if channel is None:
-            channel = EnvelopeChannel(self, lambda: self._peer_doc(peer), self.session_timeout)
-            self._channels[peer] = channel
-        return channel
+        return EnvelopeChannel(self, lambda: self._peer_doc(peer))
 
     def _route(self, host: str, path: str) -> RouteRule | None:
         host = host.split(":", 1)[0]
@@ -310,15 +305,9 @@ class Sidecar:
             assoc = self.associations.get((peer, "outbound"))
             if assoc is not None and assoc.established:
                 return
-            profile = HandshakeProfile(
-                local_did=self.did,
-                trust=self.trust,
-                resolver=self.resolver,
-                revocation_client=self.registry,
-                combined_vp=self._combined_vp,
-            )
-            self.handshakes_initiated += 1
-            run_handshake(self._channel(peer), profile, peer)
+            with self._assoc_lock:
+                self.handshakes_initiated += 1
+            run_handshake(self._channel(peer), self.profile, peer)
             assoc = Association(peer=peer, direction="outbound", established=True)
             with self._assoc_lock:
                 self.associations[(peer, "outbound")] = assoc
@@ -335,7 +324,6 @@ class Sidecar:
         the pair through a fresh handshake instead of waiting for expiry.
         """
         self._drop_outbound(peer)
-        self._channels.pop(peer, None)
         self.resolver.cache.drop(peer)
 
     def intercept(self, method: str, path: str, headers: list[tuple[str, str]],
@@ -383,10 +371,13 @@ class Sidecar:
             raise ProtocolError(f"expected tunnel response, got {reply.type}")
         if reply.body.get("correlation_id") != correlation_id:
             raise ProtocolError("tunnel response correlates to a different request")
-        status = int(reply.body["status"])
+        status = body_field(reply, "status", int)
+        resp_body = body_field(reply, "body", b64u_decode)
+        if status is None or resp_body is None:
+            raise ProtocolError("tunnel response carries no usable status or body")
         resp_headers = [(k, v) for k, v in reply.body.get("headers", [])
                         if k.lower() not in HOP_HEADERS]
-        return status, resp_headers, b64u_decode(reply.body["body"])
+        return status, resp_headers, resp_body
 
     # -- inbound path -----------------------------------------------------------------
 
@@ -421,8 +412,12 @@ class Sidecar:
         if assoc is None or not assoc.established:
             log.info("%s: tunnel frame from %s without association", self.name, sender)
             return msg.reply(MSG_REHANDSHAKE, {"reason": "unknown_association"})
-        method = msg.body["method"]
-        path = msg.body["path"]
+        method, path, correlation_id = (body_field(msg, key, _string)
+                                        for key in ("method", "path", "correlation_id"))
+        payload = body_field(msg, "body", b64u_decode)
+        if None in (method, path, correlation_id, payload):
+            log.info("%s: malformed tunnel frame from %s", self.name, sender)
+            return self._tunnel_response(msg, 400, {"error": "malformed_message"})
         service = self._local_service_for(path)
         # Unknown paths fail closed: no service name, no grant can cover it.
         if service is None or not evaluate_authorization(
@@ -432,7 +427,7 @@ class Sidecar:
             return self._tunnel_response(msg, 403, {"error": "authorization_denied"})
         try:
             status, resp_headers, resp_body = self._local_http.request(
-                method, self.local_nf_url + path, b64u_decode(msg.body["body"]),
+                method, self.local_nf_url + path, payload,
                 # framing is ours: a peer's Content-Length could smuggle a request
                 {k: v for k, v in msg.body.get("headers", []) if k.lower() not in HOP_HEADERS},
             )
@@ -441,7 +436,7 @@ class Sidecar:
             return self._tunnel_response(msg, 502, {"error": "local_nf_unreachable"})
         headers = [[k, v] for k, v in resp_headers.items() if k.lower() not in HOP_HEADERS]
         return msg.reply(MSG_TUNNEL_RESPONSE, {
-            "correlation_id": msg.body["correlation_id"],
+            "correlation_id": correlation_id,
             "status": status,
             "headers": headers,
             "body": b64u_encode(resp_body),
@@ -456,6 +451,12 @@ class Sidecar:
             "headers": [["Content-Type", "application/json"]],
             "body": b64u_encode(payload),
         })
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def _json_error(status: int, code: str, detail: str) -> tuple[int, list, bytes]:

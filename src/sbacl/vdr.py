@@ -58,43 +58,45 @@ class Registry:
         self._records: dict[str, list[SignedDocumentUpdate]] = {}
         self._revregs: dict[str, RevocationRegistry] = {}
         self._lock = threading.RLock()
-        self._log = JsonLines(log_path)
-        for line_no, line in self._log.lines():
+        # Replay through the public methods while the log drops appends,
+        # then attach the real log.
+        self._log = JsonLines(None)
+        log = JsonLines(log_path)
+        for line_no, line in log.lines():
             try:
                 self._apply(json.loads(line))
             except (ValueError, KeyError, RegistryError) as exc:
                 raise RegistryError(
                     "corrupt_log", f"log line {line_no} failed replay: {exc}"
                 ) from exc
+        self._log = log
 
     # -- persistence ----------------------------------------------------------
 
     def _apply(self, event: dict) -> None:
         kind = event["event"]
         if kind == "register":
-            self.register(SignedDocumentUpdate.from_dict(event["update"]), _record=False)
+            self.register(SignedDocumentUpdate.from_dict(event["update"]))
         elif kind == "update":
-            self.update(SignedDocumentUpdate.from_dict(event["update"]), _record=False)
+            self.update(SignedDocumentUpdate.from_dict(event["update"]))
         elif kind == "create_revreg":
             self.create_revocation_registry(
                 event["issuer"],
                 b64u_decode(event["nonce"]),
                 b64u_decode(event["signature"]),
-                _record=False,
             )
         elif kind == "revoke":
             self.revoke(
                 event["registryId"],
                 event["credentialId"],
                 b64u_decode(event["signature"]),
-                _record=False,
             )
         else:
             raise RegistryError("corrupt_log", f"unknown event kind {kind!r}")
 
     # -- DID records -----------------------------------------------------------
 
-    def register(self, update: SignedDocumentUpdate, _record: bool = True) -> None:
+    def register(self, update: SignedDocumentUpdate) -> None:
         doc = update.document
         if doc.did.method != "registry":
             raise RegistryError("bad_request", "only registry DIDs can be registered")
@@ -112,10 +114,9 @@ class Registry:
             if key in self._records:
                 raise RegistryError("already_exists", f"{key} is already registered")
             self._records[key] = [update]
-            if _record:
-                self._log.append({"event": "register", "update": update.to_dict()})
+            self._log.append({"event": "register", "update": update.to_dict()})
 
-    def update(self, update: SignedDocumentUpdate, _record: bool = True) -> None:
+    def update(self, update: SignedDocumentUpdate) -> None:
         doc = update.document
         with self._lock:
             versions = self._records.get(str(doc.did))
@@ -133,8 +134,7 @@ class Registry:
                                          doc.canonical_bytes()):
                 raise RegistryError("bad_signature", "update not signed by the current key")
             versions.append(update)
-            if _record:
-                self._log.append({"event": "update", "update": update.to_dict()})
+            self._log.append({"event": "update", "update": update.to_dict()})
 
     def resolve_did(self, did: Did | str) -> DidDocument:
         with self._lock:
@@ -162,9 +162,7 @@ class Registry:
 
     # -- revocation registries ---------------------------------------------------
 
-    def create_revocation_registry(
-        self, issuer: str, nonce: bytes, signature: bytes, _record: bool = True
-    ) -> str:
+    def create_revocation_registry(self, issuer: str, nonce: bytes, signature: bytes) -> str:
         issuer_key = self._signing_key_of(issuer)
         if not crypto.ed25519_verify(issuer_key, signature,
                                      revocation_request_bytes(issuer, nonce)):
@@ -176,18 +174,15 @@ class Registry:
             self._revregs[registry_id] = RevocationRegistry(
                 registry_id=registry_id, issuer=issuer, updated_at=int(time.time())
             )
-            if _record:
-                self._log.append({
-                    "event": "create_revreg",
-                    "issuer": issuer,
-                    "nonce": b64u_encode(nonce),
-                    "signature": b64u_encode(signature),
-                })
+            self._log.append({
+                "event": "create_revreg",
+                "issuer": issuer,
+                "nonce": b64u_encode(nonce),
+                "signature": b64u_encode(signature),
+            })
         return registry_id
 
-    def revoke(
-        self, registry_id: str, credential_id: str, signature: bytes, _record: bool = True
-    ) -> None:
+    def revoke(self, registry_id: str, credential_id: str, signature: bytes) -> None:
         with self._lock:
             reg = self._revregs.get(registry_id)
         if reg is None:
@@ -200,13 +195,12 @@ class Registry:
             # Re-revoking is an idempotent success: the set only grows.
             reg.revoked.add(credential_id)
             reg.updated_at = int(time.time())
-            if _record:
-                self._log.append({
-                    "event": "revoke",
-                    "registryId": registry_id,
-                    "credentialId": credential_id,
-                    "signature": b64u_encode(signature),
-                })
+            self._log.append({
+                "event": "revoke",
+                "registryId": registry_id,
+                "credentialId": credential_id,
+                "signature": b64u_encode(signature),
+            })
 
     def check_status(self, registry_id: str, credential_id: str) -> str:
         with self._lock:

@@ -8,6 +8,7 @@ recomputes everything from primary definitions.
 
 import copy
 import json
+import math
 import random
 import time
 
@@ -614,7 +615,7 @@ def test_criterion_7_key_rotation_end_to_end():
             return sc
 
         refreshing = consumer("AMF-fresh", cache_max_age=0.0)
-        frozen = consumer("AMF-frozen", cache_max_age=0.0, refresh_enabled=False)
+        frozen = consumer("AMF-frozen", cache_max_age=math.inf)
 
         def call(sc):
             return requests.get(sc.intercept_url + "/nudm-sdm/v2/data",

@@ -1,10 +1,13 @@
 import copy
+import json
+import sys
 import threading
 import time
 
 import pytest
 
 from sbacl.errors import ConfigError, SbaclError
+from sbacl.httputil import HttpClient
 from sbacl.harness import (
     ScenarioError,
     Topology,
@@ -205,6 +208,59 @@ def test_state_dir_launch_leaves_no_file_open(tmp_path):
 
     assert leaked_files(launch_and_stop, tmp_path) == []
     assert (tmp_path / "registry.jsonl").read_text()
+
+
+def test_tunneled_run_leaves_no_file_or_socket_open(tmp_path):
+    def run_and_stop():
+        topology = launch_topology(MINI_TOPOLOGY, state_dir=tmp_path)
+        try:
+            assert run_scenario(topology, MINI_SCRIPT, "tunneled").passed
+        finally:
+            topology.shutdown()
+
+    assert leaked_files(run_and_stop, tmp_path) == []
+
+
+def test_concurrent_first_calls_handshake_once_per_pair():
+    topology = launch_topology(bundled("topology_single_domain.json"))
+    first_ok: dict[tuple[str, str], dict] = {}
+    for step in bundled("ue_registration.json")["steps"]:
+        if step["expected_status"] == 200:
+            first_ok.setdefault((step["caller"], step["callee"]), step)
+    pairs = sorted(first_ok)
+    workers = 16  # more threads than pairs: some pairs start twice at once
+    client = HttpClient(timeout=30)
+    barrier = threading.Barrier(workers)
+    statuses: dict[int, int] = {}
+
+    def first_call(i: int) -> None:
+        step = first_ok[pairs[i % len(pairs)]]
+        caller = topology.nfs[step["caller"]].sidecar
+        body = json.dumps(step["body"]).encode() if "body" in step else None
+        barrier.wait(timeout=10)
+        statuses[i] = client.request(step["method"], caller.intercept_url + step["path"],
+                                     body, {"Host": step["callee"]})[0]
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so races get a chance to show
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == {i: 200 for i in range(workers)}
+        assert topology.handshake_total() == len(pairs)
+        for callee, handle in topology.nfs.items():
+            inbound = sorted(peer for peer, way in handle.sidecar.associations
+                             if way == "inbound")
+            assert inbound == sorted(topology.nfs[caller].sidecar.did
+                                     for caller, target in pairs if target == callee)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        topology.shutdown()
 
 
 def test_topology_exposes_components(mini):

@@ -4,13 +4,14 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import sbacl
 from sbacl.harness import launch_topology, run_scenario
-from sbacl.httputil import HTTP_ERRORS, HttpClient
+from sbacl.httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.vdr import Registry
 from sbacl.vdr_http import RegistryServer
@@ -110,6 +111,54 @@ def test_threads_share_one_client():
     assert nf.request_count() == workers * rounds
     # idle connections never outnumber the requests that were in flight
     assert sum(len(idle) for idle in client._idle.values()) <= workers
+
+
+def test_stop_waits_for_a_running_handler():
+    entered, finished = threading.Event(), threading.Event()
+
+    class Slow(QuietHandler):
+        def do_GET(self):
+            entered.set()
+            try:
+                time.sleep(0.3)
+                self.send_json(200, {})
+            finally:
+                finished.set()
+
+    service = HttpService(Slow).start()
+    client = HttpClient(timeout=5)
+
+    def call() -> None:
+        try:
+            client.request("GET", service.base_url + "/")
+        except HTTP_ERRORS:
+            pass  # stop() severs the connection under the request
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    try:
+        assert entered.wait(5)
+        service.stop()
+        assert finished.is_set()
+    finally:
+        service.stop()
+        caller.join(timeout=5)
+        client.close()
+    assert not caller.is_alive()
+
+
+def test_close_drops_idle_connections():
+    nf = MockNf("NF", "NF", [Behavior("GET", "/x", 200, {})]).start()
+    client = HttpClient(timeout=5)
+    try:
+        assert client.request("GET", nf.base_url + "/x")[0] == 200
+        assert sum(len(idle) for idle in client._idle.values()) == 1
+        client.close()
+        assert client._idle == {}
+        assert client.request("GET", nf.base_url + "/x")[0] == 200
+    finally:
+        client.close()
+        nf.stop()
 
 
 def test_cli_import_loads_no_third_party_http_stack():

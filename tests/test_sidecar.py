@@ -1,13 +1,14 @@
 import json
 import logging
+import math
 import time
 
 import pytest
 import requests
 
 from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ
-from sbacl.encoding import b64u_encode
-from sbacl.envelope import MSG_TUNNEL_REQUEST, ProtocolMessage
+from sbacl.encoding import b64u_decode, b64u_encode
+from sbacl.envelope import MSG_TUNNEL_REQUEST, MSG_TUNNEL_RESPONSE, ProtocolMessage
 from sbacl.httputil import HttpService, QuietHandler
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
@@ -260,6 +261,49 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
         ("GET", "/nudm-sdm/v2/data"), ("POST", "/nudm-uecm/v1/registrations")]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("path", None),  # None: the field is missing
+    ("path", 7),
+    ("method", ["GET"]),
+    ("body", "not base64!"),
+    ("correlation_id", None),
+])
+def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    frame = {"correlation_id": "c-1", "method": "GET", "path": "/nudm-sdm/v2/data",
+             "headers": [], "body": ""}
+    if value is None:
+        del frame[field]
+    else:
+        frame[field] = value
+    reply = world.producer.handle_inbound(ProtocolMessage(MSG_TUNNEL_REQUEST, frame),
+                                          world.consumer.did)
+    assert reply.type == MSG_TUNNEL_RESPONSE
+    assert reply.body["status"] == 400
+    assert json.loads(b64u_decode(reply.body["body"])) == {"error": "malformed_message"}
+    assert world.producer_nf.requests == [("GET", "/nudm-sdm/v2/data")]
+
+
+@pytest.mark.parametrize("field,value", [("status", None), ("status", "ok"),
+                                         ("body", None), ("body", 7)])
+def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    answer = world.producer._on_tunnel_request
+
+    def garbling(msg, sender):
+        reply = answer(msg, sender)
+        if value is None:
+            del reply.body[field]
+        else:
+            reply.body[field] = value
+        return reply
+
+    world.producer._on_tunnel_request = garbling
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert resp.status_code == 502
+    assert resp.json()["error"] == "tunnel_failed"
+
+
 # --- restarts and state loss -------------------------------------------------------
 
 
@@ -343,8 +387,7 @@ def test_rotation_with_refresh_continues(world):
 
 def test_rotation_without_refresh_surfaces_stale_key(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
-    world.consumer.refresh_enabled = False
-    world.consumer.cache_max_age = 0.0
+    world.consumer.cache_max_age = math.inf
     world.producer.rotate_keys()
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 502

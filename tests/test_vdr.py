@@ -185,6 +185,26 @@ def test_log_replay_restores_state(tmp_path):
     assert reloaded.check_status(registry_id, "cred-10") == "active"
 
 
+def test_reopening_a_registry_appends_nothing_to_its_log(tmp_path):
+    log = tmp_path / "registry.jsonl"
+    registry = Registry(log_path=log)
+    keys, doc = register_identity(registry)
+    registry.update(rotate_document(doc, generate_keypair(), keys.signing_secret))
+    peer_keys, peer_did = peer_identity()
+    registry_id = make_revreg(registry, peer_keys, peer_did)
+    registry.revoke(registry_id, "cred-1",
+                    ed25519_sign(peer_keys.signing_secret,
+                                 revoke_request_bytes(registry_id, "cred-1")))
+    written = log.read_text()
+    assert len(written.splitlines()) == 4
+
+    reopened = Registry(log_path=log)
+    assert log.read_text() == written
+    # the reopened registry still appends what happens after replay
+    register_identity(reopened)
+    assert len(log.read_text().splitlines()) == 5
+
+
 def test_log_replay_rejects_tampered_event(tmp_path):
     log = tmp_path / "registry.jsonl"
     registry = Registry(log_path=log)
