@@ -88,15 +88,6 @@ class ProtocolError(SbaclError):
     """Protocol-level failure in a message exchange."""
 
 
-class IllegalTransitionError(ProtocolError):
-    """A session was asked to move along an edge its state machine forbids."""
-
-    def __init__(self, state: str, target: str):
-        self.state = state
-        self.target = target
-        super().__init__(f"illegal transition {state} -> {target}")
-
-
 class IdentificationRejectedError(ProtocolError):
     """The peer refused our identification presentation."""
 

@@ -176,7 +176,6 @@ class Ipmf:
         allow_direct_issuance: bool = False,
         issuance_log: str | Path | None = None,
         resolver: Resolver | None = None,
-        session_timeout: float = 10.0,
     ):
         self.name = name
         self.registry = registry
@@ -190,7 +189,7 @@ class Ipmf:
         self.doc_version = 1
         self.revocation_registry_id: str | None = None
         self.server: EnvelopeHttpServer | None = None
-        self.sessions = SessionStore(timeout=session_timeout)
+        self.sessions = SessionStore()
         self._log = JsonLines(issuance_log)
         self._issued_ids = {json.loads(line)["credential_id"] for _, line in self._log.lines()}
 
@@ -339,12 +338,11 @@ class Ipmf:
             return self._on_identification(msg, session)
         if msg.type == MSG_REQUEST:
             return self._on_request(msg, session)
-        self._fail(session)
-        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type}"})
+        return self._refuse(msg, {"reason": f"unexpected {msg.type}"})
 
-    def _fail(self, session: IssuanceSession) -> None:
-        session.fail()
-        self.sessions.drop(session.thread_id)
+    def _refuse(self, msg: ProtocolMessage, body: dict) -> ProtocolMessage:
+        self.sessions.drop(msg.thread_id)
+        return msg.reply(MSG_DENY, body)
 
     def _on_offer(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         kind = msg.body.get("kind")
@@ -354,7 +352,6 @@ class Ipmf:
             return msg.reply(MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
         session = IssuanceSession(thread_id=msg.thread_id, offered_kind=kind,
                                   subject_did=sender, challenge=fresh_challenge())
-        session.advance("offered")
         self.sessions.put(session)
         return msg.reply(MSG_PRESENT_REQUEST, {
             "challenge": b64u_encode(session.challenge),
@@ -365,8 +362,7 @@ class Ipmf:
                            session: IssuanceSession) -> ProtocolMessage:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
+            return self._refuse(msg, {"reason": "malformed_message"})
         verdict = verify_presentation(
             vp, session.challenge, self.trust_policy(), self.resolver,
             revocation_client=self.registry, expected_holder=session.subject_did,
@@ -374,8 +370,7 @@ class Ipmf:
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
                      self.name, session.subject_did, verdict.failures)
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"failures": verdict.failures})
+            return self._refuse(msg, {"failures": verdict.failures})
         merged: dict[str, str] = {}
         for vc in vp.credentials:
             if vc.kind == KIND_AUTHN:
@@ -385,17 +380,13 @@ class Ipmf:
 
     def _on_request(self, msg: ProtocolMessage, session: IssuanceSession) -> ProtocolMessage:
         if session.authn_claims is None:
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": "not_identified"})
+            return self._refuse(msg, {"reason": "not_identified"})
         kind = msg.body.get("kind")
         requested = dict(msg.body.get("claims", {}))
         if kind != session.offered_kind:
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": "request_differs_from_offer"})
-        session.advance("requested")
+            return self._refuse(msg, {"reason": "request_differs_from_offer"})
         if creds.REQUIRED_RIGHT.get(kind) not in self.effective_rights:
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": "insufficient_rights"})
+            return self._refuse(msg, {"reason": "insufficient_rights"})
         rule = next(
             (r for r in self.policy
              if r.matches(session.authn_claims, kind, requested)),
@@ -404,16 +395,12 @@ class Ipmf:
         if rule is None:
             log.info("%s: no policy rule for %s request by %s",
                      self.name, kind, session.subject_did)
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": "policy_denied"})
+            return self._refuse(msg, {"reason": "policy_denied"})
         granted = dict(rule.grant) if rule.grant else requested
         try:
             vc = self.issue_credential_to(session.subject_did, kind, granted,
                                           validity=rule.validity)
         except IssuanceError as exc:
-            self._fail(session)
-            return msg.reply(MSG_DENY, {"reason": exc.code})
-        session.advance("issued")
-        session.advance("done")
+            return self._refuse(msg, {"reason": exc.code})
         self.sessions.drop(session.thread_id)
         return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})

@@ -6,10 +6,10 @@ drives the exchange as a sequence of synchronous calls and keeps nothing
 but the thread id; the responding side is a stateful handler keyed by
 thread id, because its view of one exchange spans several incoming messages.
 
-The responding side's state machines are explicit and unforgiving: every
-transition goes through `advance`, which rejects anything the legal-edge
-table does not allow, and idle sessions are reaped into their failure state
-after a timeout.
+The responding side keeps one record per open thread. Its handlers check
+each incoming message against the phase the record is in, and every ending
+of an exchange (success, refusal, a deny, an out-of-phase message) removes
+the record; a thread left idle past the timeout is reaped.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .envelope import (
 from .errors import (
     HandshakeRejectedError,
     IdentificationRejectedError,
-    IllegalTransitionError,
     PolicyDeniedError,
     PresentationError,
     ProtocolError,
@@ -60,68 +59,32 @@ def body_field(msg: ProtocolMessage, key: str, parse):
         return None
 
 
-class _Session:
-    """Common transition plumbing; subclasses define the edge table."""
-
-    EDGES: dict[str, frozenset[str]] = {}
-    FAILURE_STATE = "failed"
-
-    def advance(self, target: str) -> None:
-        if target not in self.EDGES.get(self.state, frozenset()):
-            raise IllegalTransitionError(self.state, target)
-        self.state = target
-        self.updated_at = time.time()
-
-    def fail(self) -> None:
-        """Force the failure state; legal from anywhere non-terminal."""
-        if not self.terminal:
-            self.state = self.FAILURE_STATE
-            self.updated_at = time.time()
-
-    @property
-    def terminal(self) -> bool:
-        return not self.EDGES.get(self.state)
-
-
 @dataclass
-class IssuanceSession(_Session):
+class IssuanceSession:
+    """The issuer's record of one open issuance thread."""
+
     thread_id: str
-    state: str = "start"
-    offered_kind: str | None = None
-    subject_did: str | None = None
-    challenge: bytes | None = None
+    subject_did: str
+    offered_kind: str
+    challenge: bytes
     authn_claims: dict[str, str] | None = None  # merged once identification succeeds
     updated_at: float = dc_field(default_factory=time.time)
 
-    EDGES = {
-        "start": frozenset({"offered", "failed"}),
-        "offered": frozenset({"requested", "failed"}),
-        "requested": frozenset({"issued", "failed"}),
-        "issued": frozenset({"done", "failed"}),
-        "done": frozenset(),
-        "failed": frozenset(),
-    }
-
 
 @dataclass
-class HandshakeSession(_Session):
+class HandshakeSession:
+    """The producer's record of one open handshake thread.
+
+    `challenge` stays None until the consumer ACKs the producer's
+    identification; its presence is the phase the thread is in.
+    """
+
     thread_id: str
     peer: str
-    state: str = "idle"
     challenge: bytes | None = None
     authn_claims: list[dict] = dc_field(default_factory=list)
     authz_claims: list[dict] = dc_field(default_factory=list)
     updated_at: float = dc_field(default_factory=time.time)
-
-    FAILURE_STATE = "rejected"
-    EDGES = {
-        "idle": frozenset({"identifying", "rejected"}),
-        "identifying": frozenset({"identified", "rejected"}),
-        "identified": frozenset({"authorizing", "rejected"}),
-        "authorizing": frozenset({"established", "rejected"}),
-        "established": frozenset(),
-        "rejected": frozenset(),
-    }
 
 
 class SessionStore:
@@ -129,7 +92,7 @@ class SessionStore:
 
     def __init__(self, timeout: float = DEFAULT_SESSION_TIMEOUT):
         self.timeout = timeout
-        self._sessions: dict[str, _Session] = {}
+        self._sessions: dict[str, IssuanceSession | HandshakeSession] = {}
         self._lock = threading.Lock()
 
     def put(self, session) -> None:
@@ -146,17 +109,12 @@ class SessionStore:
             self._sessions.pop(thread_id, None)
 
     def reap(self, now: float | None = None) -> list:
-        """Fail and evict every non-terminal session older than the timeout."""
+        """Evict every session idle for longer than the timeout."""
         now = time.time() if now is None else now
-        reaped = []
         with self._lock:
-            for thread_id, session in list(self._sessions.items()):
-                if session.terminal:
-                    continue
-                if now - session.updated_at > self.timeout:
-                    session.fail()
-                    del self._sessions[thread_id]
-                    reaped.append(session)
+            reaped = [s for s in self._sessions.values() if now - s.updated_at > self.timeout]
+            for session in reaped:
+                del self._sessions[session.thread_id]
         return reaped
 
     def __len__(self) -> int:
@@ -301,16 +259,15 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
 class HandshakeResponder:
     """Producer side of the handshake, driven one message at a time.
 
-    Terminal outcomes surface through `on_established(session)`; the caller
-    (the sidecar) uses that to create the association that tunnel traffic
-    is checked against.
+    An established handshake surfaces through `on_established(session)`;
+    the caller (the sidecar) uses that to create the association that
+    tunnel traffic is checked against.
     """
 
-    def __init__(self, profile: HandshakeProfile, on_established=None,
-                 session_timeout: float = DEFAULT_SESSION_TIMEOUT):
+    def __init__(self, profile: HandshakeProfile, on_established=None):
         self.profile = profile
         self.on_established = on_established
-        self.sessions = SessionStore(timeout=session_timeout)
+        self.sessions = SessionStore()
 
     def handle(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         if msg.type == MSG_PRESENT_REQUEST:
@@ -318,16 +275,14 @@ class HandshakeResponder:
         session = self.sessions.get(msg.thread_id)
         if session is None or session.peer != sender:
             return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
-        if msg.type == MSG_ACK and session.state == "identifying":
+        if msg.type == MSG_ACK and session.challenge is None:
             return self._on_identified(msg, session)
-        if msg.type == MSG_PRESENTATION and session.state == "authorizing":
+        if msg.type == MSG_PRESENTATION and session.challenge is not None:
             return self._on_authorize(msg, session)
+        self.sessions.drop(msg.thread_id)
         if msg.type == MSG_DENY:
-            session.fail()
-            self.sessions.drop(msg.thread_id)
             return msg.reply(MSG_ACK, {})
-        session.fail()
-        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type} in {session.state}"})
+        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type}"})
 
     def _on_identify(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         challenge = body_field(msg, "challenge", b64u_decode)
@@ -339,15 +294,12 @@ class HandshakeResponder:
             # Nothing to present (empty wallet or unusable challenge): refuse
             # up front rather than leave a half-open session behind.
             return msg.reply(MSG_DENY, {"reason": "cannot_present"})
-        session = HandshakeSession(thread_id=msg.thread_id, peer=sender)
-        session.advance("identifying")
-        self.sessions.put(session)
+        self.sessions.put(HandshakeSession(thread_id=msg.thread_id, peer=sender))
         return msg.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
 
     def _on_identified(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:
-        session.advance("identified")
         session.challenge = fresh_challenge()
-        session.advance("authorizing")
+        session.updated_at = time.time()
         return msg.reply(MSG_PRESENT_REQUEST, {
             "challenge": b64u_encode(session.challenge),
             "kinds": [KIND_AUTHN, KIND_AUTHZ],
@@ -356,26 +308,23 @@ class HandshakeResponder:
     def _on_authorize(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
-            return self._refuse(msg, session, {"reason": "malformed_message"})
+            return self._refuse(msg, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.profile.trust,
                                       self.profile.resolver, self.profile.revocation_client,
                                       expected_holder=session.peer)
         if not verdict.ok:
-            return self._refuse(msg, session, {"failures": verdict.failures})
+            return self._refuse(msg, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)
         gate = self.profile.authz_gate or (lambda claims: True)
         if not gate(authz_claims):
-            return self._refuse(msg, session, {"failures": ["insufficient_rights"]})
+            return self._refuse(msg, {"failures": ["insufficient_rights"]})
         session.authn_claims = _extract_claims(vp, KIND_AUTHN)
         session.authz_claims = authz_claims
-        session.advance("established")
         self.sessions.drop(msg.thread_id)
         if self.on_established is not None:
             self.on_established(session)
         return msg.reply(MSG_ACK, {})
 
-    def _refuse(self, msg: ProtocolMessage, session: HandshakeSession,
-                body: dict) -> ProtocolMessage:
-        session.fail()
+    def _refuse(self, msg: ProtocolMessage, body: dict) -> ProtocolMessage:
         self.sessions.drop(msg.thread_id)
         return msg.reply(MSG_DENY, body)

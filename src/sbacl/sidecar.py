@@ -74,6 +74,9 @@ HOP_HEADERS = frozenset({
     "te", "trailer", "transfer-encoding", "upgrade", "host", "content-length",
 })
 
+# Seconds either HTTP client (peers and IPMFs, the local NF) waits on a hop.
+HTTP_TIMEOUT = 10.0
+
 
 @dataclass(frozen=True)
 class RouteRule:
@@ -154,7 +157,6 @@ class Sidecar:
         keys: KeyPair | None = None,
         association_store: str | Path | None = None,
         cache_max_age: float = 300.0,
-        session_timeout: float = 10.0,
     ):
         self.name = name
         self.nf_type = nf_type
@@ -185,8 +187,8 @@ class Sidecar:
         self.intercept_server: HttpService | None = None
         self.handshakes_initiated = 0
         # One client for every envelope hop (peers and IPMFs), one for the NF.
-        self.http = HttpClient(session_timeout)
-        self._local_http = HttpClient(session_timeout)
+        self.http = HttpClient(HTTP_TIMEOUT)
+        self._local_http = HttpClient(HTTP_TIMEOUT)
 
         self.profile = HandshakeProfile(
             trust=self.trust,
@@ -199,7 +201,6 @@ class Sidecar:
         self.responder = HandshakeResponder(
             profile=self.profile,
             on_established=self._on_inbound_established,
-            session_timeout=session_timeout,
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -373,10 +374,9 @@ class Sidecar:
             raise ProtocolError("tunnel response correlates to a different request")
         status = body_field(reply, "status", int)
         resp_body = body_field(reply, "body", b64u_decode)
-        if status is None or resp_body is None:
-            raise ProtocolError("tunnel response carries no usable status or body")
-        resp_headers = [(k, v) for k, v in reply.body.get("headers", [])
-                        if k.lower() not in HOP_HEADERS]
+        resp_headers = _headers(reply)
+        if None in (status, resp_body, resp_headers):
+            raise ProtocolError("tunnel response carries no usable status, headers or body")
         return status, resp_headers, resp_body
 
     # -- inbound path -----------------------------------------------------------------
@@ -415,7 +415,8 @@ class Sidecar:
         method, path, correlation_id = (body_field(msg, key, _string)
                                         for key in ("method", "path", "correlation_id"))
         payload = body_field(msg, "body", b64u_decode)
-        if None in (method, path, correlation_id, payload):
+        req_headers = _headers(msg)
+        if None in (method, path, correlation_id, payload, req_headers):
             log.info("%s: malformed tunnel frame from %s", self.name, sender)
             return self._tunnel_response(msg, 400, {"error": "malformed_message"})
         service = self._local_service_for(path)
@@ -427,10 +428,7 @@ class Sidecar:
             return self._tunnel_response(msg, 403, {"error": "authorization_denied"})
         try:
             status, resp_headers, resp_body = self._local_http.request(
-                method, self.local_nf_url + path, payload,
-                # framing is ours: a peer's Content-Length could smuggle a request
-                {k: v for k, v in msg.body.get("headers", []) if k.lower() not in HOP_HEADERS},
-            )
+                method, self.local_nf_url + path, payload, dict(req_headers))
         except HTTP_ERRORS as exc:
             log.warning("%s: local NF unreachable: %s", self.name, exc)
             return self._tunnel_response(msg, 502, {"error": "local_nf_unreachable"})
@@ -457,6 +455,22 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
+
+
+def _headers(msg: ProtocolMessage) -> list[tuple[str, str]] | None:
+    """A tunnel frame's `[[name, value], ...]` minus hop headers: [] when it
+    sends none, None when it is anything but a list of string pairs."""
+    if "headers" not in msg.body:
+        return []
+    return body_field(msg, "headers", _header_pairs)
+
+
+def _header_pairs(value) -> list[tuple[str, str]]:
+    if not isinstance(value, list) or any(not isinstance(p, list) or len(p) != 2 for p in value):
+        raise ValueError("expected a list of [name, value] pairs")
+    pairs = [(_string(k), _string(v)) for k, v in value]
+    # framing is ours: a peer's Content-Length could smuggle a request
+    return [(k, v) for k, v in pairs if k.lower() not in HOP_HEADERS]
 
 
 def _json_error(status: int, code: str, detail: str) -> tuple[int, list, bytes]:

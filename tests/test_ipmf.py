@@ -24,7 +24,7 @@ from sbacl.errors import ConfigError, IssuanceError, PolicyDeniedError
 from sbacl.errors import IdentificationRejectedError
 from sbacl.identity import Resolver, create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule, load_config
-from sbacl.protocols import run_issuance
+from sbacl.protocols import DEFAULT_SESSION_TIMEOUT, run_issuance
 
 from conftest import peer_identity
 
@@ -304,12 +304,12 @@ def test_protocol_unknown_thread_and_sequencing(domain):
 
 def test_reaped_offer_leaves_no_thread_state(registry):
     root = make_root(registry)
-    child = make_child(registry, root, session_timeout=0.0)
+    child = make_child(registry, root)
     _, holder_did, _ = enrolled_holder(child)
 
     offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}})
     assert child.handle(offer, holder_did).type != MSG_DENY
-    assert len(child.sessions.reap(now=time.time() + 1)) == 1
+    assert len(child.sessions.reap(now=time.time() + DEFAULT_SESSION_TIMEOUT + 1)) == 1
 
     # nothing on the issuer still remembers the timed-out thread
     assert len(child.sessions) == 0

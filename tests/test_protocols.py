@@ -1,8 +1,9 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
 from sbacl.credentials import (
     KIND_AUTHN,
@@ -14,7 +15,7 @@ from sbacl.credentials import (
     issue_credential,
     verify_presentation,
 )
-from sbacl.encoding import b64u_encode
+from sbacl.encoding import b64u_decode, b64u_encode
 from sbacl.envelope import (
     MSG_ACK,
     MSG_DENY,
@@ -28,7 +29,6 @@ from sbacl.envelope import (
 from sbacl.errors import (
     HandshakeRejectedError,
     IdentificationRejectedError,
-    IllegalTransitionError,
     PolicyDeniedError,
     ProtocolError,
 )
@@ -37,7 +37,6 @@ from sbacl.protocols import (
     HandshakeProfile,
     HandshakeResponder,
     HandshakeSession,
-    IssuanceSession,
     SessionStore,
     producer_authz_gate,
     run_handshake,
@@ -60,82 +59,30 @@ class DirectChannel:
         return self.handler(msg, self.sender)
 
 
-# --- session state machines ---------------------------------------------------------
+# --- session store ---------------------------------------------------------------
 
 
-def _fresh_session(cls):
-    if cls is IssuanceSession:
-        return cls(thread_id="t")
-    return cls(thread_id="t", peer="p")
-
-
-@settings(max_examples=60)
-@given(data=st.data())
-def test_only_tabled_transitions_are_possible(data):
-    cls = data.draw(st.sampled_from([IssuanceSession, HandshakeSession]))
-    session = _fresh_session(cls)
-    all_states = sorted(cls.EDGES)
-    for _ in range(data.draw(st.integers(1, 8))):
-        target = data.draw(st.sampled_from(all_states))
-        legal = target in cls.EDGES.get(session.state, frozenset())
-        if legal:
-            before = session.updated_at
-            session.advance(target)
-            assert session.state == target
-            assert session.updated_at >= before
-        else:
-            with pytest.raises(IllegalTransitionError):
-                session.advance(target)
-
-
-def test_fail_is_absorbing():
-    session = _fresh_session(HandshakeSession)
-    session.advance("identifying")
-    session.fail()
-    assert session.state == "rejected"
-    assert session.terminal
-    session.fail()  # no-op on terminal
-    assert session.state == "rejected"
-
-    done = _fresh_session(IssuanceSession)
-    for state in ("offered", "requested", "issued", "done"):
-        done.advance(state)
-    done.fail()
-    assert done.state == "done"
+def _fresh_session():
+    return HandshakeSession(thread_id="t", peer="p")
 
 
 def test_session_store_reaps_idle_sessions():
     store = SessionStore(timeout=5.0)
-    stale = _fresh_session(HandshakeSession)
-    stale.advance("identifying")
+    stale = _fresh_session()
     stale.updated_at = time.time() - 60
     fresh = HandshakeSession(thread_id="t2", peer="p")
-    fresh.advance("identifying")
     store.put(stale)
     store.put(fresh)
 
     reaped = store.reap()
     assert [s.thread_id for s in reaped] == ["t"]
-    assert reaped[0].state == "rejected"
     assert store.get("t") is None
     assert store.get("t2") is fresh
 
 
-def test_terminal_sessions_survive_reaping():
-    store = SessionStore(timeout=0.0)
-    done = _fresh_session(IssuanceSession)
-    for state in ("offered", "requested", "issued", "done"):
-        done.advance(state)
-    done.updated_at = time.time() - 3600
-    store.put(done)
-    assert store.reap() == []
-    assert store.get(done.thread_id) is done
-
-
 def test_get_triggers_reaping():
     store = SessionStore(timeout=1.0)
-    stale = _fresh_session(HandshakeSession)
-    stale.advance("identifying")
+    stale = _fresh_session()
     stale.updated_at = time.time() - 30
     store.put(stale)
     assert store.get("t") is None
@@ -419,8 +366,7 @@ def test_handshake_out_of_phase_message_fails_session():
     reply = world.responder.handle(premature, world.cons_did)
     assert reply.type == MSG_DENY
     assert "unexpected" in reply.body["reason"]
-    session = world.responder.sessions.get(opener.thread_id)
-    assert session is not None and session.state == "rejected"
+    assert len(world.responder.sessions) == 0
 
 
 def test_handshake_identify_without_challenge_is_denied():
@@ -441,13 +387,11 @@ def test_handshake_authorization_without_presentation_is_denied():
     world.responder.handle(opener, world.cons_did)
     world.responder.handle(ProtocolMessage(MSG_ACK, {}, thread_id=opener.thread_id),
                            world.cons_did)
-    session = world.responder.sessions.get(opener.thread_id)
     reply = world.responder.handle(
         ProtocolMessage(MSG_PRESENTATION, {"presentation": "junk"}, thread_id=opener.thread_id),
         world.cons_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "malformed_message"
-    assert session.state == "rejected"
     assert len(world.responder.sessions) == 0
     assert world.established == []
 
@@ -484,3 +428,104 @@ def test_handshake_half_open_sessions_time_out():
     reply = world.responder.handle(follow_up, world.cons_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "unknown_thread"
+
+
+# --- the responder under arbitrary message orders ----------------------------------
+
+
+class ResponderMachine(RuleBasedStateMachine):
+    """Drives one `HandshakeResponder` from two credentialed consumers.
+
+    The model keeps, per thread still open, its owner and the challenge the
+    responder issued at the ACK (None before it); every other message from
+    the owner ends the thread, and a message from anyone else changes nothing.
+    """
+
+    threads = Bundle("threads")
+
+    def __init__(self):
+        super().__init__()
+        self.world = HandshakeWorld()
+        root_keys, root_did = self.world.root_keys, self.world.root_did
+        other_keys, other_did = peer_identity()
+        self.wallets = {
+            self.world.cons_did: (self.world.cons_keys,
+                                  [self.world.cons_authn, self.world.cons_authz]),
+            other_did: (other_keys, [
+                issue_credential(root_keys, root_did, KIND_AUTHN, other_did, {"nf_type": "SMF"}),
+                issue_credential(root_keys, root_did, KIND_AUTHZ, other_did,
+                                 {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}),
+            ]),
+        }
+        self.open: dict[str, tuple[str, bytes | None]] = {}
+        self.sent: list[tuple[bytes, dict]] = []  # (challenge, presentation), for replays
+        self.verified: list[tuple[str, str]] = []
+
+    @initialize(target=threads)
+    def open_first_thread(self):
+        return self.open_thread(0)
+
+    @rule(target=threads, sender=st.sampled_from([0, 1]))
+    def open_thread(self, sender):
+        sender = sorted(self.wallets)[sender]
+        reply = self.world.responder.handle(ProtocolMessage(
+            MSG_PRESENT_REQUEST,
+            {"challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]},
+        ), sender)
+        assert reply.type == MSG_PRESENTATION
+        self.open[reply.thread_id] = (sender, None)
+        return reply.thread_id
+
+    # Hypothesis tends to draw the same choice many times in a row, so one
+    # rule covers every continuation, and "in_phase" (the ACK, then a
+    # presentation) lets such a run reach the presentation check.
+    @rule(thread=threads, sender=st.sampled_from([0, 1]), what=st.sampled_from(
+        ["in_phase", MSG_ACK, MSG_DENY, MSG_OFFER, MSG_REQUEST, MSG_ISSUE, MSG_PRESENTATION]),
+        kind=st.sampled_from(["valid", "replayed", "other_holder", "junk"]))
+    def send(self, thread, sender, what, kind):
+        sender = sorted(self.wallets)[sender]
+        owner, challenge = self.open.get(thread, (None, None))
+        if what == "in_phase":
+            what = MSG_ACK if challenge is None else MSG_PRESENTATION
+        body = {}
+        if what == MSG_PRESENTATION:
+            body = {"presentation": self._presentation(kind, sender, challenge)}
+        reply = self.world.responder.handle(ProtocolMessage(what, body, thread_id=thread),
+                                            sender)
+        if owner != sender:
+            assert reply.type == MSG_DENY and reply.body == {"reason": "unknown_thread"}
+        elif what == MSG_ACK and challenge is None:
+            assert reply.type == MSG_PRESENT_REQUEST
+            self.open[thread] = (sender, b64u_decode(reply.body["challenge"]))
+        else:
+            del self.open[thread]
+            if what == MSG_PRESENTATION and kind == "valid" and challenge is not None:
+                assert reply.type == MSG_ACK
+                self.verified.append((thread, sender))
+            else:
+                assert reply.type == (MSG_ACK if what == MSG_DENY else MSG_DENY)
+
+    def _presentation(self, kind, sender, challenge):
+        if kind == "junk":
+            return "junk"
+        if kind == "replayed":  # made for some other challenge
+            return next((vp for made_for, vp in self.sent if made_for != challenge), "junk")
+        holder = sender if kind == "valid" else next(d for d in self.wallets if d != sender)
+        keys, creds = self.wallets[holder]
+        challenge = challenge or fresh_challenge()
+        vp = build_presentation(keys, holder, creds, challenge).to_dict()
+        self.sent.append((challenge, vp))
+        return vp
+
+    @invariant()
+    def established_only_on_verified_presentations(self):
+        assert [(s.thread_id, s.peer) for s in self.world.established] == self.verified
+
+    @invariant()
+    def one_session_per_open_thread(self):
+        assert len(self.world.responder.sessions) == len(self.open)
+
+
+ResponderMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25,
+                                              deadline=None)
+test_responder_state_machine = ResponderMachine.TestCase

@@ -267,6 +267,10 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     ("method", ["GET"]),
     ("body", "not base64!"),
     ("correlation_id", None),
+    ("headers", "abc"),
+    ("headers", [["a"]]),
+    ("headers", [[1, "x"]]),
+    ("headers", ["ab"]),  # unpacks into a pair unless pairs must be lists
 ])
 def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
@@ -285,7 +289,9 @@ def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
 
 
 @pytest.mark.parametrize("field,value", [("status", None), ("status", "ok"),
-                                         ("body", None), ("body", 7)])
+                                         ("body", None), ("body", 7),
+                                         ("headers", [["x"]]), ("headers", "abc"),
+                                         ("headers", [[1, "x"]])])
 def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     answer = world.producer._on_tunnel_request
