@@ -150,8 +150,7 @@ def sidecar_run(config_path: str) -> None:
     )
 
     if raw.get("credential_requests"):
-        ipmf_did = raw["ipmf_did"]
-        channel = EnvelopeChannel(instance, lambda: instance.resolver.resolve(ipmf_did))
+        channel = EnvelopeChannel(instance, raw["ipmf_did"])
         for request in raw["credential_requests"]:
             vc = run_issuance(channel, instance.keys, instance.did,
                               bootstrap_creds, request["kind"], request["claims"])

@@ -8,10 +8,10 @@ replaying an old transcript.
 Verification is three conditions, matching how a producer decides whether
 to trust a consumer: the credentials verify against their issuers' resolved
 key material, the presentation verifies against the holder's resolved key
-material, and (optionally) nothing presented has been revoked. On top of
-that sits delegation-chain trace-back: a credential from a non-root issuer
-is only as good as the chain of Del credentials connecting that issuer to
-a root the verifier actually trusts.
+material, and nothing presented that names a revocation registry has
+been revoked. On top of that sits delegation-chain trace-back: a
+credential from a non-root issuer is only as good as the chain of Del
+credentials connecting that issuer to a root the verifier actually trusts.
 
 Failures are verdicts, not exceptions. Only infrastructure faults (registry
 unreachable, revocation check impossible) raise, because treating those as
@@ -55,6 +55,9 @@ REQUIRED_RIGHT = {
 }
 
 CHALLENGE_SIZE = 32
+
+# Seconds past `expires_at` a credential is still accepted, for clock drift.
+CLOCK_SKEW_TOLERANCE = 30
 
 FAIL_BAD_VC_SIGNATURE = "bad_vc_signature"
 FAIL_BAD_VP_SIGNATURE = "bad_vp_signature"
@@ -177,15 +180,10 @@ class VerifiablePresentation:
 @dataclass(frozen=True)
 class TrustPolicy:
     trusted_roots: frozenset[str]
-    require_revocation_check: bool = False
-    clock_skew_tolerance: int = 30
 
     @classmethod
-    def trusting(cls, *roots, require_revocation_check: bool = False) -> "TrustPolicy":
-        return cls(
-            trusted_roots=frozenset(str(r) for r in roots),
-            require_revocation_check=require_revocation_check,
-        )
+    def trusting(cls, *roots) -> "TrustPolicy":
+        return cls(trusted_roots=frozenset(str(r) for r in roots))
 
 
 @dataclass
@@ -428,15 +426,16 @@ def verify_presentation(
     expected_challenge: bytes,
     policy: TrustPolicy,
     resolver,
-    revocation_client=None,
     now: int | None = None,
     expected_holder: str | None = None,
 ) -> Verdict:
     """Full presentation verification; returns a Verdict, raises only on
     infrastructure faults (registry unreachable, revocation unavailable).
 
-    With `expected_holder`, a presentation that passes every other check
-    but was made by someone else fails as subject_mismatch."""
+    Revocation status is read through `resolver.registry_client` for every
+    credential that carries a revocation entry. With `expected_holder`, a
+    presentation that passes every other check but was made by someone
+    else fails as subject_mismatch."""
     now = int(time.time()) if now is None else int(now)
     failures: list[str] = []
 
@@ -459,17 +458,16 @@ def verify_presentation(
         ):
             failures.append(FAIL_BAD_VC_SIGNATURE)
 
-        if vc.expires_at is not None and now > vc.expires_at + policy.clock_skew_tolerance:
+        if vc.expires_at is not None and now > vc.expires_at + CLOCK_SKEW_TOLERANCE:
             failures.append(FAIL_EXPIRED)
 
-        if policy.require_revocation_check and vc.revocation is not None:
-            if revocation_client is None:
+        if vc.revocation is not None:
+            if resolver.registry_client is None:
                 raise RevocationCheckError(
-                    "policy requires revocation checking but no revocation client was given"
+                    f"credential {vc.credential_id} needs a revocation check, "
+                    "but the resolver has no registry client"
                 )
-            registry_id, credential_id = vc.revocation
-            status = revocation_client.check_status(registry_id, credential_id)
-            if status == "revoked":
+            if resolver.registry_client.check_status(*vc.revocation) == "revoked":
                 failures.append(FAIL_REVOKED)
 
         failures.extend(verify_delegation_chain(vc, policy.trusted_roots, resolver))

@@ -8,7 +8,9 @@ hop in the clear.
 
 Errors that prevent even opening the envelope (stale key version, unknown
 sender, garbage bytes) cannot be answered with an encrypted reply, so they
-come back as plain JSON error bodies with HTTP 400.
+come back as plain JSON error bodies with HTTP 400. A registry outage
+that leaves a DID unresolved or a revocation status unread is HTTP 503
+`registry_unavailable`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from .errors import (
     PeerUnreachableError,
     ProtocolError,
     RegistryError,
+    RegistryUnavailableError,
     StaleKeyError,
     StalePeerKeyError,
     WireFormatError,
 )
 from .httputil import HTTP_ERRORS, HttpService, QuietHandler
-from .identity import DidDocument
 
 log = logging.getLogger(__name__)
 
@@ -42,20 +44,20 @@ class EnvelopeChannel:
     `owner` supplies the live identity as it does for `EnvelopeHttpServer`:
     `did`, `keys` and `resolver` are read per request, and requests go out
     through `owner.http`, the one `HttpClient` the owner keeps for all its
-    peers. `peer_doc` is a zero-argument callable so the owner can swap in a
-    refreshed document between calls; requests go to the service endpoint
-    it publishes.
+    peers. The peer's document is resolved through `owner.resolver` on
+    every request, so a refreshed document takes effect on the next call;
+    requests go to the service endpoint it publishes.
     """
 
-    def __init__(self, owner, peer_doc):
+    def __init__(self, owner, peer_did: str):
         self.owner = owner
-        self._peer_doc = peer_doc
+        self.peer_did = str(peer_did)
 
     def request(self, msg: ProtocolMessage) -> ProtocolMessage:
-        peer_doc: DidDocument = self._peer_doc()
+        peer_doc = self.owner.resolver.resolve(self.peer_did)
         url = peer_doc.service_endpoint
         if not url:
-            raise ProtocolError(f"peer {peer_doc.did} publishes no service endpoint")
+            raise ProtocolError(f"peer {self.peer_did} publishes no service endpoint")
         # One read, so the reply opens with the key the request went out with.
         keys = self.owner.keys
         wire = encode_wire(pack(msg, keys, self.owner.did, peer_doc))
@@ -64,12 +66,12 @@ class EnvelopeChannel:
                 "POST", url.rstrip("/") + ENVELOPE_PATH, wire, {"Content-Type": _CONTENT_TYPE}
             )
         except HTTP_ERRORS as exc:
-            raise PeerUnreachableError(f"{peer_doc.did} at {url}: {exc}") from exc
+            raise PeerUnreachableError(f"{self.peer_did} at {url}: {exc}") from exc
         if status != 200:
             self._raise_for_error(status, body)
         reply, sender = unpack(decode_wire(body), keys, self.owner.resolver)
-        if sender != str(peer_doc.did):
-            raise ProtocolError(f"reply authenticated as {sender}, expected {peer_doc.did}")
+        if sender != self.peer_did:
+            raise ProtocolError(f"reply authenticated as {sender}, expected {self.peer_did}")
         if reply.thread_id != msg.thread_id:
             raise ProtocolError("reply does not belong to the request thread")
         return reply
@@ -106,6 +108,9 @@ def _make_handler(owner, dispatch):
                     {"error": "stale_recipient_key", "got": exc.got, "current": exc.current},
                 )
                 return
+            except RegistryUnavailableError as exc:
+                self.registry_unavailable(exc)
+                return
             except (RegistryError, IdentityError) as exc:
                 log.warning("dropping envelope from unresolvable sender: %s", exc)
                 self.send_json(400, {"error": "unknown_sender", "message": str(exc)})
@@ -122,11 +127,18 @@ def _make_handler(owner, dispatch):
                 reply = dispatch(msg, sender)
                 sender_doc = owner.resolver.resolve(sender)
                 wire = encode_wire(pack(reply, owner.keys, owner.did, sender_doc))
+            except RegistryUnavailableError as exc:
+                self.registry_unavailable(exc)
+                return
             except Exception:
                 log.exception("dispatch failed for %s from %s", msg.type, sender)
                 self.send_json(500, {"error": "internal"})
                 return
             self.send_bytes(200, wire, _CONTENT_TYPE)
+
+        def registry_unavailable(self, exc: RegistryUnavailableError) -> None:
+            log.warning("cannot answer envelope while the registry is down: %s", exc)
+            self.send_json(503, {"error": "registry_unavailable"})
 
     return EnvelopeHandler
 

@@ -14,7 +14,6 @@ only figure meant to carry across machines.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import statistics
 import time
@@ -269,8 +268,8 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
                         {k: grant[k] for k in ("producer", "service", "ops")})
                        for grant in handle.grants]
             for issuer, kind, claims in wanted:
-                channel = EnvelopeChannel(sc, functools.partial(sc.resolver.resolve, issuer.did))
-                vc = run_issuance(channel, sc.keys, sc.did, handle.bootstrap_creds, kind, claims)
+                vc = run_issuance(EnvelopeChannel(sc, issuer.did), sc.keys, sc.did,
+                                  handle.bootstrap_creds, kind, claims)
                 sc.add_credential(vc)
                 handle.operational_creds.append(vc)
 

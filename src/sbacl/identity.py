@@ -9,13 +9,16 @@ lives in the registry and can evolve through signed, hash-chained versions.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, replace
 
 from . import crypto
 from .encoding import b58decode, b58encode, b64u_decode, b64u_encode, canonical_json, sha256
-from .errors import IdentityError, RegistryError
+from .errors import IdentityError, RegistryError, RegistryUnavailableError
+
+log = logging.getLogger(__name__)
 
 PEER_PREFIX = "did:speer:"
 REGISTRY_PREFIX = "did:svdr:"
@@ -241,7 +244,7 @@ def publish_document(registry, resolver, keys: KeyPair, endpoint: str | None) ->
     except RegistryError as exc:
         if exc.code != "already_exists":
             raise
-    latest = resolver.resolve(did, policy="force_fresh")
+    latest = resolver.refresh(did)
     if latest.signing_key == keys.signing_public and latest.service_endpoint == endpoint:
         return latest
     update = rotate_document(latest, keys, keys.signing_secret, service_endpoint=endpoint)
@@ -280,20 +283,20 @@ class ResolutionCache:
         self._entries: dict[str, tuple[DidDocument, float]] = {}
         self._lock = threading.Lock()
 
-    def get(self, did: Did | str, now: float | None = None,
-            max_age: float | None = None) -> DidDocument | None:
-        """The cached document, or None when absent or older than `max_age`
-        (the cache's own bound unless the caller names another)."""
+    def get(self, did: Did | str, now: float | None = None) -> DidDocument | None:
+        """The cached document, or None when absent or older than `max_age`."""
         now = time.time() if now is None else now
-        max_age = self.max_age if max_age is None else max_age
         with self._lock:
             entry = self._entries.get(str(did))
-        if entry is None:
+        if entry is None or now - entry[1] > self.max_age:
             return None
-        doc, fetched_at = entry
-        if now - fetched_at > max_age:
-            return None
-        return doc
+        return entry[0]
+
+    def last(self, did: Did | str) -> DidDocument | None:
+        """The cached document however old, or None when absent."""
+        with self._lock:
+            entry = self._entries.get(str(did))
+        return None if entry is None else entry[0]
 
     def put(self, doc: DidDocument, now: float | None = None) -> None:
         now = time.time() if now is None else now
@@ -305,46 +308,41 @@ class ResolutionCache:
             self._entries.pop(str(did), None)
 
 
-def resolve(
-    did: Did | str,
-    registry_client=None,
-    cache: ResolutionCache | None = None,
-    policy: str = "cache_ok",
-) -> DidDocument:
-    """Resolve a DID to its current document.
-
-    Peer DIDs never touch the registry or the cache. Registry DIDs are
-    served from the cache under `cache_ok` when fresh enough; `force_fresh`
-    always asks the registry and refreshes the cache.
-    """
-    if isinstance(did, str):
-        did = parse_did(did)
-    if policy not in ("cache_ok", "force_fresh"):
-        raise IdentityError(f"unknown resolution policy: {policy!r}")
-    if did.method == "peer":
-        return extract_peer_document(did)
-    if policy == "cache_ok" and cache is not None:
-        hit = cache.get(did)
-        if hit is not None:
-            return hit
-    if registry_client is None:
-        raise IdentityError(f"registry DID {did} needs a registry client to resolve")
-    doc = registry_client.resolve_did(str(did))
-    if cache is not None:
-        cache.put(doc)
-    return doc
-
-
 class Resolver:
-    """Bundles a registry client and cache behind one resolve() call.
+    """The one place DID documents and revocation status are read from.
 
-    Modules that verify credentials or unpack envelopes take one of these
-    rather than threading three arguments everywhere.
+    Peer DIDs resolve from the identifier alone. Registry DIDs are served
+    from the cache while younger than `max_age`, otherwise fetched from
+    `registry_client`, which also answers revocation status checks. When
+    the registry cannot be reached, a cached copy of any age is kept.
     """
 
-    def __init__(self, registry_client=None, cache: ResolutionCache | None = None):
+    def __init__(self, registry_client=None, max_age: float = DEFAULT_CACHE_MAX_AGE):
         self.registry_client = registry_client
-        self.cache = cache if cache is not None else ResolutionCache()
+        self.cache = ResolutionCache(max_age)
 
-    def resolve(self, did: Did | str, policy: str = "cache_ok") -> DidDocument:
-        return resolve(did, self.registry_client, self.cache, policy)
+    def resolve(self, did: Did | str) -> DidDocument:
+        """The DID's current document, from the cache when fresh enough.
+        Peer DIDs are never cached, so they always reach `refresh`."""
+        doc = self.cache.get(did)
+        return doc if doc is not None else self.refresh(did)
+
+    def refresh(self, did: Did | str) -> DidDocument:
+        """Fetch the DID's current document, regardless of the cached copy's
+        age. A registry outage keeps any cached copy."""
+        if isinstance(did, str):
+            did = parse_did(did)
+        if did.method == "peer":
+            return extract_peer_document(did)
+        if self.registry_client is None:
+            raise IdentityError(f"registry DID {did} needs a registry client to resolve")
+        try:
+            doc = self.registry_client.resolve_did(str(did))
+        except RegistryUnavailableError as exc:
+            stale = self.cache.last(did)
+            if stale is None:
+                raise
+            log.warning("keeping stale document for %s: %s", did, exc)
+            return stale
+        self.cache.put(doc)
+        return doc

@@ -175,7 +175,6 @@ class Ipmf:
         trusted_foreign_roots=(),
         allow_direct_issuance: bool = False,
         issuance_log: str | Path | None = None,
-        resolver: Resolver | None = None,
     ):
         self.name = name
         self.registry = registry
@@ -184,7 +183,7 @@ class Ipmf:
         self.policy = list(policy or [])
         self.trusted_foreign_roots = {str(r) for r in trusted_foreign_roots}
         self.allow_direct_issuance = allow_direct_issuance
-        self.resolver = resolver if resolver is not None else Resolver(registry)
+        self.resolver = Resolver(registry)
         self.did = str(create_registry_did(self.keys)[0])
         self.doc_version = 1
         self.revocation_registry_id: str | None = None
@@ -210,7 +209,7 @@ class Ipmf:
 
     def trust_policy(self) -> TrustPolicy:
         roots = {self.trust_root} | self.trusted_foreign_roots
-        return TrustPolicy(trusted_roots=frozenset(roots), require_revocation_check=True)
+        return TrustPolicy(trusted_roots=frozenset(roots))
 
     @classmethod
     def from_config(cls, config: IpmfConfig, registry) -> "Ipmf":
@@ -363,10 +362,8 @@ class Ipmf:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
             return self._refuse(msg, {"reason": "malformed_message"})
-        verdict = verify_presentation(
-            vp, session.challenge, self.trust_policy(), self.resolver,
-            revocation_client=self.registry, expected_holder=session.subject_did,
-        )
+        verdict = verify_presentation(vp, session.challenge, self.trust_policy(),
+                                      self.resolver, expected_holder=session.subject_did)
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
                      self.name, session.subject_did, verdict.failures)
@@ -382,7 +379,9 @@ class Ipmf:
         if session.authn_claims is None:
             return self._refuse(msg, {"reason": "not_identified"})
         kind = msg.body.get("kind")
-        requested = dict(msg.body.get("claims", {}))
+        requested = body_field(msg, "claims", _string_map)
+        if requested is None:
+            return self._refuse(msg, {"reason": "malformed_message"})
         if kind != session.offered_kind:
             return self._refuse(msg, {"reason": "request_differs_from_offer"})
         if creds.REQUIRED_RIGHT.get(kind) not in self.effective_rights:
@@ -404,3 +403,10 @@ class Ipmf:
             return self._refuse(msg, {"reason": exc.code})
         self.sessions.drop(session.thread_id)
         return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})
+
+
+def _string_map(value) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(
+            isinstance(item, str) for item in (*value, *value.values())):
+        raise TypeError("expected an object of string values")
+    return dict(value)

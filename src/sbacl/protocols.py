@@ -195,7 +195,6 @@ class HandshakeProfile:
 
     trust: TrustPolicy
     resolver: object
-    revocation_client: object = None
     identity_vp: object = None  # callable(challenge) -> VerifiablePresentation
     combined_vp: object = None  # callable(challenge) -> VerifiablePresentation
     authz_gate: object = None  # callable(list of claims dicts) -> bool
@@ -234,7 +233,7 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
     if vp is None:
         raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
-                                  profile.revocation_client, expected_holder=str(peer_did))
+                                  expected_holder=str(peer_did))
     if not verdict.ok:
         channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
         raise HandshakeRejectedError("peer_identification_failed", ",".join(verdict.failures))
@@ -310,8 +309,7 @@ class HandshakeResponder:
         if vp is None:
             return self._refuse(msg, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.profile.trust,
-                                      self.profile.resolver, self.profile.revocation_client,
-                                      expected_holder=session.peer)
+                                      self.profile.resolver, expected_holder=session.peer)
         if not verdict.ok:
             return self._refuse(msg, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import threading
 import time
 import uuid
@@ -50,6 +49,7 @@ from .errors import (
 )
 from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .identity import (
+    DEFAULT_CACHE_MAX_AGE,
     KeyPair,
     Resolver,
     create_registry_did,
@@ -156,7 +156,7 @@ class Sidecar:
         local_services: list[LocalService] | None = None,
         keys: KeyPair | None = None,
         association_store: str | Path | None = None,
-        cache_max_age: float = 300.0,
+        cache_max_age: float = DEFAULT_CACHE_MAX_AGE,
     ):
         self.name = name
         self.nf_type = nf_type
@@ -165,12 +165,9 @@ class Sidecar:
         self.routes = list(routes or [])
         self.local_services = list(local_services or [])
         self.keys = keys if keys is not None else generate_keypair()
-        self.resolver = Resolver(registry)
-        self.trust = TrustPolicy(
-            trusted_roots=frozenset(str(r) for r in trusted_roots),
-            require_revocation_check=True,
-        )
-        self.cache_max_age = cache_max_age
+        # One max age for every peer document, outbound and inbound.
+        self.resolver = Resolver(registry, max_age=cache_max_age)
+        self.trust = TrustPolicy.trusting(*trusted_roots)
 
         did, self.current_doc = create_registry_did(self.keys)
         self.did = str(did)
@@ -193,7 +190,6 @@ class Sidecar:
         self.profile = HandshakeProfile(
             trust=self.trust,
             resolver=self.resolver,
-            revocation_client=self.registry,
             identity_vp=self._identity_vp,
             combined_vp=self._combined_vp,
             authz_gate=producer_authz_gate(self.nf_type),
@@ -264,30 +260,7 @@ class Sidecar:
             self.keys, self.did, list(self.authn_creds) + list(self.authz_creds), challenge
         )
 
-    # -- peer documents -------------------------------------------------------------
-
-    def _peer_doc(self, peer: str):
-        # Staleness policy is the sidecar's own: with `cache_max_age` set to
-        # math.inf a cached document is used however old it is.
-        doc = self.resolver.cache.get(peer, max_age=self.cache_max_age)
-        return doc if doc is not None else self.refresh_peer_document(peer)
-
-    def refresh_peer_document(self, peer: str):
-        """Fetch the peer's current document, regardless of age. A registry
-        outage keeps any stale cached copy."""
-        try:
-            return self.resolver.resolve(peer, policy="force_fresh")
-        except RegistryUnavailableError as exc:
-            stale = self.resolver.cache.get(peer, max_age=math.inf)
-            if stale is None:
-                raise
-            log.warning("%s: keeping stale document for %s: %s", self.name, peer, exc)
-            return stale
-
     # -- outbound path ---------------------------------------------------------------
-
-    def _channel(self, peer: str) -> EnvelopeChannel:
-        return EnvelopeChannel(self, lambda: self._peer_doc(peer))
 
     def _route(self, host: str, path: str) -> RouteRule | None:
         host = host.split(":", 1)[0]
@@ -308,7 +281,7 @@ class Sidecar:
                 return
             with self._assoc_lock:
                 self.handshakes_initiated += 1
-            run_handshake(self._channel(peer), self.profile, peer)
+            run_handshake(EnvelopeChannel(self, peer), self.profile, peer)
             assoc = Association(peer=peer, direction="outbound", established=True)
             with self._assoc_lock:
                 self.associations[(peer, "outbound")] = assoc
@@ -343,6 +316,8 @@ class Sidecar:
             return _json_error(502, "stale_peer_key", str(exc))
         except PeerUnreachableError as exc:
             return _json_error(504, "peer_timeout", str(exc))
+        except RegistryUnavailableError as exc:
+            return _json_error(503, "registry_unavailable", str(exc))
         except ProtocolError as exc:
             return _json_error(502, "tunnel_failed", str(exc))
 
@@ -357,7 +332,7 @@ class Sidecar:
             "headers": [[k, v] for k, v in headers if k.lower() not in HOP_HEADERS],
             "body": b64u_encode(body),
         })
-        reply = self._channel(peer).request(msg)
+        reply = EnvelopeChannel(self, peer).request(msg)
         if reply.type == MSG_REHANDSHAKE:
             # The peer lost its side of the association (restart with a wiped
             # store). Re-run the handshake once and retry.

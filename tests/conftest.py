@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import gc
 import io
+import sys
+import traceback
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from sbacl.credentials import KIND_AUTHN, issue_credential, issue_delegation
+from sbacl.httputil import _TrackingServer
 from sbacl.identity import Resolver, create_peer_did, generate_keypair
 from sbacl.vdr import Registry
 from sbacl.vdr_http import RegistryHttpClient, RegistryServer
@@ -18,6 +21,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_handler_crashes(monkeypatch):
+    """Fail the test when a server handler thread raises anything but the
+    connection resets `_TrackingServer.handle_error` already ignores: the
+    client of such a handler only sees its connection drop."""
+    crashes = []
+    original = _TrackingServer.handle_error
+
+    def recording(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            crashes.append(traceback.format_exc())
+        original(self, request, client_address)
+
+    monkeypatch.setattr(_TrackingServer, "handle_error", recording)
+    yield
+    assert not crashes, "a server handler thread raised:\n" + "\n".join(crashes)
 
 
 @pytest.fixture

@@ -422,8 +422,7 @@ def test_criterion_4_three_condition_verification(registry):
         root_did, nonce,
         ed25519_sign(root_keys.signing_secret,
                      revocation_request_bytes(root_did, nonce)))
-    policy = TrustPolicy(trusted_roots=frozenset([root_did]),
-                         require_revocation_check=True)
+    policy = TrustPolicy(trusted_roots=frozenset([root_did]))
 
     def presentation():
         holder_keys, holder_did = peer_identity()
@@ -434,8 +433,7 @@ def test_criterion_4_three_condition_verification(registry):
         return vp, challenge
 
     vp, challenge = presentation()
-    control = verify_presentation(vp, challenge, policy, RESOLVER,
-                                  revocation_client=registry)
+    control = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert control.ok and control.failures == []
 
     # condition 1: issuer material is wrong (signed by someone else entirely)
@@ -445,15 +443,13 @@ def test_criterion_4_three_condition_verification(registry):
     forged.subject = holder_did
     _resign(forged, generate_keypair())
     vp = build_presentation(holder_keys, holder_did, [forged], challenge)
-    cond1 = verify_presentation(vp, challenge, policy, RESOLVER,
-                                revocation_client=registry)
+    cond1 = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert cond1.failures == [FAIL_BAD_VC_SIGNATURE]
 
     # condition 2: holder proof is wrong
     vp, challenge = presentation()
     vp.proof = _flip_byte(vp.proof, random.Random(SEED + 3))
-    cond2 = verify_presentation(vp, challenge, policy, RESOLVER,
-                                revocation_client=registry)
+    cond2 = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert cond2.failures == [FAIL_BAD_VP_SIGNATURE]
 
     # condition 3: the credential is revoked
@@ -462,8 +458,7 @@ def test_criterion_4_three_condition_verification(registry):
     registry.revoke(registry_id, vc.credential_id,
                     ed25519_sign(root_keys.signing_secret,
                                  revoke_request_bytes(registry_id, vc.credential_id)))
-    cond3 = verify_presentation(vp, challenge, policy, RESOLVER,
-                                revocation_client=registry)
+    cond3 = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert cond3.failures == ["revoked"]
 
     print("criterion 4: control clean, each condition isolated to "
@@ -625,8 +620,7 @@ def test_criterion_7_key_rotation_end_to_end():
         assert call(frozen).status_code == 200
 
         producer.rotate_keys()
-        assert Resolver(registry).resolve(producer.did,
-                                          policy="force_fresh").version == 2
+        assert Resolver(registry).refresh(producer.did).version == 2
 
         survived = call(refreshing)
         assert survived.status_code == 200 and survived.json() == {"ok": True}
@@ -635,7 +629,7 @@ def test_criterion_7_key_rotation_end_to_end():
         assert stale.status_code == 502
         assert stale.json()["error"] == "stale_peer_key"
 
-        frozen.refresh_peer_document(producer.did)
+        frozen.resolver.refresh(producer.did)
         assert call(frozen).status_code == 200
 
         print("criterion 7: traffic survived rotation with refresh; "

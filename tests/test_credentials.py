@@ -139,7 +139,7 @@ def test_revocation_required_without_client_raises():
                           {"nf_type": "AMF"}, revocation_registry_id="r" * 64)
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
-    policy = TrustPolicy(trusted_roots=frozenset([root_did]), require_revocation_check=True)
+    policy = TrustPolicy(trusted_roots=frozenset([root_did]))
     with pytest.raises(RevocationCheckError):
         verify_presentation(vp, challenge, policy, RESOLVER)
 
@@ -150,7 +150,7 @@ def test_vc_without_revocation_ref_passes_vacuously():
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
-    policy = TrustPolicy(trusted_roots=frozenset([root_did]), require_revocation_check=True)
+    policy = TrustPolicy(trusted_roots=frozenset([root_did]))
     assert verify_presentation(vp, challenge, policy, RESOLVER).ok
 
 
@@ -286,15 +286,15 @@ def test_revoked_credential_fails(registry):
                           {"nf_type": "AMF"}, revocation_registry_id=registry_id)
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
-    policy = TrustPolicy(trusted_roots=frozenset([root_did]), require_revocation_check=True)
+    policy = TrustPolicy(trusted_roots=frozenset([root_did]))
 
-    before = verify_presentation(vp, challenge, policy, RESOLVER, revocation_client=registry)
+    before = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert before.ok
 
     registry.revoke(registry_id, vc.credential_id,
                     ed25519_sign(root_keys.signing_secret,
                                  revoke_request_bytes(registry_id, vc.credential_id)))
-    after = verify_presentation(vp, challenge, policy, RESOLVER, revocation_client=registry)
+    after = verify_presentation(vp, challenge, policy, Resolver(registry))
     assert after.failures == ["revoked"]
 
 

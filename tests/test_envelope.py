@@ -162,7 +162,7 @@ class _ExplodingResolver:
     def __init__(self):
         self.calls = 0
 
-    def resolve(self, did, policy="cache_ok"):
+    def resolve(self, did):
         self.calls += 1
         raise AssertionError("resolver consulted before the key-version check")
 

@@ -6,7 +6,9 @@ import pytest
 
 from sbacl.envelope import MSG_ACK, ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from sbacl.envelope_http import ENVELOPE_PATH, EnvelopeHttpServer
-from sbacl.identity import Resolver
+from sbacl.errors import RegistryUnavailableError
+from sbacl.identity import Resolver, create_registry_did
+from sbacl.vdr_http import RegistryHttpClient
 
 from conftest import peer_identity
 
@@ -71,3 +73,25 @@ def test_reply_that_cannot_be_sealed_is_an_internal_error(served):
     status, body = post(served, ENVELOPE_PATH, encode_wire(env))
     assert status == 500
     assert json.loads(body) == {"error": "internal"}
+
+
+def test_sender_unresolvable_in_a_registry_outage_is_unavailable(served):
+    served.owner.resolver = Resolver(RegistryHttpClient("http://127.0.0.1:1", timeout=0.5))
+    client_keys = served.client[0]
+    sender = str(create_registry_did(client_keys)[0])
+    env = pack(ProtocolMessage(MSG_ACK, {}), client_keys, sender,
+               Resolver().resolve(served.owner.did))
+    status, body = post(served, ENVELOPE_PATH, encode_wire(env))
+    assert status == 503
+    assert json.loads(body) == {"error": "registry_unavailable"}
+
+
+def test_registry_outage_in_dispatch_is_unavailable(served):
+    def dispatch(msg, sender):
+        raise RegistryUnavailableError("registry at http://127.0.0.1:1: refused")
+
+    served.dispatch = dispatch
+    _, env = sealed(served, {})
+    status, body = post(served, ENVELOPE_PATH, encode_wire(env))
+    assert status == 503
+    assert json.loads(body) == {"error": "registry_unavailable"}

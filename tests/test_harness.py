@@ -263,6 +263,23 @@ def test_concurrent_first_calls_handshake_once_per_pair():
         topology.shutdown()
 
 
+def test_registry_outage_runs_on_cached_documents():
+    topology = launch_topology(MINI_TOPOLOGY)
+    try:
+        assert run_scenario(topology, MINI_SCRIPT, "tunneled").passed
+        udm = topology.nfs["UDM"].mock
+        seen = udm.request_count()
+        topology.registry_server.stop()
+        for handle in topology.nfs.values():
+            handle.sidecar.resolver.cache.max_age = 0.0  # every document is due for refresh
+        transcript = run_scenario(topology, MINI_SCRIPT, "tunneled", halt_on_failure=False)
+        assert [r.status for r in transcript.results] == \
+            [step["expected_status"] for step in MINI_SCRIPT["steps"]]
+        assert udm.request_count() - seen == len(MINI_SCRIPT["steps"])
+    finally:
+        topology.shutdown()
+
+
 def test_topology_exposes_components(mini):
     assert isinstance(mini, Topology)
     assert set(mini.nfs) == {"AMF", "UDM"}

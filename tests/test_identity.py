@@ -1,10 +1,11 @@
+import logging
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbacl.errors import IdentityError, UnknownDidError
+from sbacl.errors import IdentityError, RegistryUnavailableError, UnknownDidError
 from sbacl.identity import (
     ResolutionCache,
     Resolver,
@@ -15,7 +16,6 @@ from sbacl.identity import (
     generate_keypair,
     parse_did,
     publish_document,
-    resolve,
     rotate_document,
     self_sign_document,
     verify_document_chain,
@@ -145,15 +145,6 @@ def test_resolution_cache_expires_entries():
     assert cache.get(did) is None
 
 
-def test_resolution_cache_max_age_per_call():
-    cache = ResolutionCache(max_age=0.05)
-    did, doc = create_peer_did(generate_keypair())
-    cache.put(doc, now=100.0)
-    assert cache.get(did, now=100.02, max_age=0.01) is None
-    assert cache.get(did, now=200.0, max_age=float("inf")) is doc
-    assert cache.get(did, now=200.0) is None  # the cache's own bound is untouched
-
-
 def test_publish_document_registers_then_republishes(registry):
     keys = generate_keypair()
     resolver = Resolver(registry)
@@ -174,7 +165,7 @@ def test_publish_document_registers_then_republishes(registry):
 
 def test_resolve_peer_needs_no_registry():
     keys, did = peer_identity()
-    doc = resolve(did)
+    doc = Resolver().resolve(did)
     assert doc.signing_key == keys.signing_public
 
 
@@ -191,8 +182,26 @@ def test_resolver_uses_cache_until_forced(registry):
     new_keys = generate_keypair()
     registry.update(rotate_document(doc, new_keys, keys.signing_secret))
     assert resolver.resolve(did).version == 1  # cached
-    assert resolver.resolve(did, policy="force_fresh").version == 2
+    assert resolver.refresh(did).version == 2
     assert resolver.resolve(did).version == 2  # cache replaced
+
+
+def test_resolver_keeps_a_cached_copy_through_a_registry_outage(registry_http, caplog):
+    registry, server, client = registry_http
+    keys = generate_keypair()
+    _, doc = create_registry_did(keys, "http://127.0.0.1:9")
+    registry.register(self_sign_document(doc, keys))
+    unseen = str(create_registry_did(generate_keypair())[0])
+
+    resolver = Resolver(client, max_age=0.0)
+    assert resolver.resolve(str(doc.did)) == doc
+    server.stop()
+    with caplog.at_level(logging.WARNING, logger="sbacl.identity"):
+        assert resolver.resolve(str(doc.did)) == doc
+        assert resolver.refresh(str(doc.did)) == doc
+    assert "keeping stale document" in caplog.text
+    with pytest.raises(RegistryUnavailableError):
+        resolver.resolve(unseen)
 
 
 def test_resolve_unknown_registry_did(registry):
@@ -207,4 +216,4 @@ def test_resolve_registry_did_without_client_fails():
     keys = generate_keypair()
     did, _ = create_registry_did(keys)
     with pytest.raises(IdentityError):
-        resolve(str(did))
+        Resolver().resolve(str(did))

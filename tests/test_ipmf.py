@@ -107,8 +107,7 @@ def test_child_issues_under_the_root(domain):
     holder_keys, holder_did, bootstrap = enrolled_holder(child)
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [bootstrap], challenge)
-    verdict = verify_presentation(vp, challenge, child.trust_policy(), Resolver(registry),
-                                  revocation_client=registry)
+    verdict = verify_presentation(vp, challenge, child.trust_policy(), Resolver(registry))
     assert verdict.ok
 
 
@@ -131,7 +130,6 @@ def test_trust_policy_includes_foreign_roots(registry):
     policy = child.trust_policy()
     assert root.did in policy.trusted_roots
     assert foreign in policy.trusted_roots
-    assert policy.require_revocation_check
 
 
 # --- revocation ------------------------------------------------------------------
@@ -350,6 +348,24 @@ def test_protocol_identification_by_another_holder_is_denied(domain):
                                          thread_id=offer.thread_id), holder_did)
     assert reply.type == MSG_DENY
     assert reply.body["failures"] == ["subject_mismatch"]
+
+
+def test_malformed_request_claims_are_denied(domain):
+    registry, root, child = domain
+    holder_keys, holder_did, bootstrap = enrolled_holder(child)
+    for claims in ("abc", 7, [[1]], {"nf_type": 1}):
+        offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
+        reply = child.handle(offer, holder_did)
+        vp = build_presentation(holder_keys, holder_did, [bootstrap],
+                                b64u_decode(reply.body["challenge"]))
+        reply = child.handle(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
+                                             thread_id=offer.thread_id), holder_did)
+        assert reply.type != MSG_DENY
+        request = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": claims},
+                                  thread_id=offer.thread_id)
+        reply = child.handle(request, holder_did)
+        assert (reply.type, reply.body) == (MSG_DENY, {"reason": "malformed_message"})
+    assert len(child.sessions) == 0
 
 
 def test_protocol_request_must_match_offer(domain):

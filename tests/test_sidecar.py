@@ -373,7 +373,7 @@ def test_producer_full_restart(world, tmp_path):
 
     # expired pin plus refresh enabled lets the consumer find the new
     # endpoint, then the wiped store costs exactly one re-handshake
-    world.consumer.cache_max_age = 0.0
+    world.consumer.resolver.cache.max_age = 0.0
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 200
     assert world.consumer.handshakes_initiated == 2
@@ -386,21 +386,21 @@ def test_rotation_with_refresh_continues(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     world.producer.rotate_keys()
     assert world.producer.doc_version == 2
-    world.consumer.cache_max_age = 0.0  # every call re-checks the registry
+    world.consumer.resolver.cache.max_age = 0.0  # every call re-checks the registry
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 200
 
 
 def test_rotation_without_refresh_surfaces_stale_key(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
-    world.consumer.cache_max_age = math.inf
+    world.consumer.resolver.cache.max_age = math.inf
     world.producer.rotate_keys()
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 502
     assert resp.json()["error"] == "stale_peer_key"
 
     # the explicit operator refresh repairs it
-    world.consumer.refresh_peer_document(world.producer.did)
+    world.consumer.resolver.refresh(world.producer.did)
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
 
 
@@ -412,14 +412,27 @@ def test_registry_outage_keeps_the_stale_peer_document(world, caplog):
         registry=RegistryHttpClient(server.base_url, timeout=2.0))
     assert world.call("GET", "/nudm-sdm/v2/data", consumer=consumer).status_code == 200
 
-    consumer.cache_max_age = 0.0  # the peer document is due for refresh on every call
+    consumer.resolver.cache.max_age = 0.0  # the peer document is due for refresh on every call
     server.stop()
-    with caplog.at_level(logging.WARNING, logger="sbacl.sidecar"):
+    with caplog.at_level(logging.WARNING, logger="sbacl.identity"):
         resp = world.call("GET", "/nudm-sdm/v2/data", consumer=consumer)
     assert resp.status_code == 200
     assert resp.json() == {"data": "subscriber"}
     assert "keeping stale document" in caplog.text
     assert consumer.handshakes_initiated == 1
+
+
+def test_registry_outage_without_a_cached_peer_document_is_unavailable(world):
+    server = RegistryServer(world.registry).start()
+    world.started.append(server.stop)
+    consumer = world.make_consumer(
+        "AMF-2", [{"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}],
+        registry=RegistryHttpClient(server.base_url, timeout=2.0))
+    server.stop()
+    resp = world.call("GET", "/nudm-sdm/v2/data", consumer=consumer)
+    assert resp.status_code == 503
+    assert resp.json()["error"] == "registry_unavailable"
+    assert world.producer_nf.request_count() == 0
 
 
 # --- unreachable hops -------------------------------------------------------------
