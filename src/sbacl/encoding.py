@@ -12,9 +12,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import threading
 from pathlib import Path
 from typing import Any, Iterator
+
+log = logging.getLogger(__name__)
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
@@ -100,12 +103,22 @@ class JsonLines:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def lines(self) -> Iterator[tuple[int, str]]:
-        """(line number, text) for each non-blank line, read in one go."""
+        """(line number, text) for each non-blank line, read in one go.
+
+        A last line without its newline is an append that a crash cut short:
+        it is cut off the file, with a warning, and the next append starts
+        clean. Any other bad line is the caller's to refuse.
+        """
         if self.path is None or not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
-            raw = fh.readlines()
-        for number, line in enumerate(raw, start=1):
+        with self._lock, open(self.path, "r+b") as fh:
+            raw = fh.read()
+            end = raw.rfind(b"\n") + 1
+            if end < len(raw):
+                log.warning("%s: dropping a torn last line of %d bytes", self.path,
+                            len(raw) - end)
+                fh.truncate(end)
+        for number, line in enumerate(raw[:end].decode("utf-8").split("\n"), start=1):
             line = line.strip()
             if line:
                 yield number, line

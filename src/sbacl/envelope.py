@@ -13,6 +13,8 @@ mutation makes the envelope undecryptable. The key-wrap KDF also mixes the
 header hash into its info string, which lets the wrap use a fixed nonce:
 the wrapping key itself is unique per envelope because the header carries
 the fresh payload nonce.
+The header is the only JSON in the binary frame; inside the seal, raw
+`payload` bytes follow the message's JSON head.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ from .identity import Did, DidDocument, KeyPair
 
 CONTENT_ENCRYPTION = "XC20P"
 NONCE_SIZE = 24
-MAX_FRAME = 16 * 1024 * 1024  # frame body limit, enforced both directions
+MAX_FRAME = 16 * 1024 * 1024  # whole-frame limit, enforced both directions
+WRAPPED_KEY_SIZE = 48  # 32-byte content key + 16-byte tag
+TAG_SIZE = 16
+
+_HEADER_LEN = struct.Struct(">H")  # frame: uint16 BE len(header) ‖ header ‖ key ‖ ct ‖ tag
+_HEAD_LEN = struct.Struct(">I")  # plaintext: uint32 BE len(head) ‖ head ‖ payload
 
 _KEK_INFO_PREFIX = b"sbacl/envelope/kek/"
 _WRAP_NONCE = b"\x00" * NONCE_SIZE
@@ -70,9 +77,12 @@ REGISTERED_TYPES = frozenset({
 
 @dataclass
 class ProtocolMessage:
+    """A JSON `body` plus opaque `payload` bytes (a tunneled HTTP body)."""
+
     type: str
     body: dict[str, Any]
     thread_id: str = field(default_factory=lambda: str(uuid.uuid4()))
+    payload: bytes = b""
 
     def to_dict(self) -> dict:
         return {"type": self.type, "thread_id": self.thread_id, "body": self.body}
@@ -81,9 +91,9 @@ class ProtocolMessage:
     def from_dict(cls, data: dict) -> "ProtocolMessage":
         return cls(type=data["type"], body=data["body"], thread_id=data["thread_id"])
 
-    def reply(self, type: str, body: dict[str, Any]) -> "ProtocolMessage":
+    def reply(self, type: str, body: dict[str, Any], payload: bytes = b"") -> "ProtocolMessage":
         """A new message on the same thread."""
-        return ProtocolMessage(type=type, body=body, thread_id=self.thread_id)
+        return ProtocolMessage(type=type, body=body, thread_id=self.thread_id, payload=payload)
 
 
 @dataclass
@@ -92,26 +102,6 @@ class Envelope:
     wrapped_key: bytes
     ciphertext: bytes
     auth_tag: bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "protected_header": self.protected_header,
-            "wrapped_key": b64u_encode(self.wrapped_key),
-            "ciphertext": b64u_encode(self.ciphertext),
-            "auth_tag": b64u_encode(self.auth_tag),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Envelope":
-        try:
-            return cls(
-                protected_header=dict(data["protected_header"]),
-                wrapped_key=b64u_decode(data["wrapped_key"]),
-                ciphertext=b64u_decode(data["ciphertext"]),
-                auth_tag=b64u_decode(data["auth_tag"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireFormatError(f"malformed envelope: {exc}") from exc
 
 
 def _kek(shared_secret: bytes, header_bytes: bytes) -> bytes:
@@ -126,12 +116,13 @@ def pack(
 ) -> Envelope:
     if msg.type not in REGISTERED_TYPES:
         raise EnvelopeError(f"unregistered message type {msg.type!r}")
+    nonce = crypto.random_bytes(NONCE_SIZE)
     header = {
         "sender": str(sender_did),
         "recipient": str(recipient_doc.did),
         "recipient_key_version": recipient_doc.version,
         "content_encryption": CONTENT_ENCRYPTION,
-        "nonce": b64u_encode(crypto.random_bytes(NONCE_SIZE)),
+        "nonce": b64u_encode(nonce),
     }
     header_bytes = canonical_json(header)
     content_key = crypto.random_bytes(32)
@@ -139,14 +130,14 @@ def pack(
     wrapped_key = crypto.xchacha_encrypt(
         _kek(shared, header_bytes), _WRAP_NONCE, content_key, header_bytes
     )
-    sealed = crypto.xchacha_encrypt(
-        content_key, b64u_decode(header["nonce"]), canonical_json(msg.to_dict()), header_bytes
-    )
+    head = canonical_json(msg.to_dict())
+    plaintext = b"".join((_HEAD_LEN.pack(len(head)), head, msg.payload))
+    sealed = crypto.xchacha_encrypt(content_key, nonce, plaintext, header_bytes)
     return Envelope(
         protected_header=header,
         wrapped_key=wrapped_key,
-        ciphertext=sealed[:-16],
-        auth_tag=sealed[-16:],
+        ciphertext=sealed[:-TAG_SIZE],
+        auth_tag=sealed[-TAG_SIZE:],
     )
 
 
@@ -198,31 +189,41 @@ def unpack(
         )
     except ValueError:
         raise EnvelopeIntegrityError("payload authentication failed") from None
+    head_end = _HEAD_LEN.size + int.from_bytes(plaintext[:_HEAD_LEN.size], "big")
+    if head_end > len(plaintext):
+        raise EnvelopeError("message head overruns the plaintext")
     try:
-        msg = ProtocolMessage.from_dict(json.loads(plaintext))
+        msg = ProtocolMessage.from_dict(json.loads(plaintext[_HEAD_LEN.size:head_end]))
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeError(f"decrypted payload is not a protocol message: {exc}") from exc
+    msg.payload = plaintext[head_end:]
     if msg.type not in REGISTERED_TYPES:
         raise EnvelopeError(f"unregistered message type {msg.type!r}")
     return msg, sender
 
 
 def encode_wire(env: Envelope) -> bytes:
-    body = canonical_json(env.to_dict())
-    if len(body) > MAX_FRAME:
-        raise WireFormatError(f"frame body {len(body)} exceeds {MAX_FRAME} bytes")
-    return struct.pack(">I", len(body)) + body
+    header = canonical_json(env.protected_header)
+    size = (_HEADER_LEN.size + len(header) + len(env.wrapped_key) + len(env.ciphertext)
+            + len(env.auth_tag))
+    if size > MAX_FRAME or len(header) > 0xFFFF:
+        raise WireFormatError(f"frame of {size} bytes (header {len(header)}) exceeds "
+                              f"{MAX_FRAME} bytes (header 65535)")
+    return b"".join((_HEADER_LEN.pack(len(header)), header, env.wrapped_key, env.ciphertext,
+                     env.auth_tag))
 
 
 def decode_wire(data: bytes) -> Envelope:
-    if len(data) < 4:
-        raise WireFormatError("frame shorter than its length prefix")
-    (length,) = struct.unpack(">I", data[:4])
-    if length > MAX_FRAME:
-        raise WireFormatError(f"declared frame body {length} exceeds {MAX_FRAME} bytes")
-    if len(data) - 4 != length:
-        raise WireFormatError(f"declared {length} body bytes, got {len(data) - 4}")
+    if len(data) > MAX_FRAME:
+        raise WireFormatError(f"frame of {len(data)} bytes exceeds {MAX_FRAME} bytes")
+    key_at = _HEADER_LEN.size + int.from_bytes(data[:_HEADER_LEN.size], "big")
+    ct_at = key_at + WRAPPED_KEY_SIZE
+    if len(data) < ct_at + TAG_SIZE:
+        raise WireFormatError(f"frame of {len(data)} bytes is shorter than its fixed parts")
     try:
-        return Envelope.from_dict(json.loads(data[4:]))
-    except (ValueError, TypeError) as exc:
-        raise WireFormatError(f"frame body is not an envelope: {exc}") from exc
+        header = json.loads(data[_HEADER_LEN.size:key_at])
+    except ValueError as exc:
+        raise WireFormatError(f"protected header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise WireFormatError("protected header is not a JSON object")
+    return Envelope(header, data[key_at:ct_at], data[ct_at:-TAG_SIZE], data[-TAG_SIZE:])

@@ -10,7 +10,8 @@ Errors that prevent even opening the envelope (stale key version, unknown
 sender, garbage bytes) cannot be answered with an encrypted reply, so they
 come back as plain JSON error bodies with HTTP 400. A registry outage
 that leaves a DID unresolved or a revocation status unread is HTTP 503
-`registry_unavailable`.
+`registry_unavailable`. A request declaring more than `MAX_FRAME` bytes is
+refused unread with HTTP 413 `frame_too_large`, and its connection closed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 
-from .envelope import ProtocolMessage, decode_wire, encode_wire, pack, unpack
+from .envelope import MAX_FRAME, ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from .errors import (
     EnvelopeError,
     IdentityError,
@@ -28,7 +29,6 @@ from .errors import (
     RegistryUnavailableError,
     StaleKeyError,
     StalePeerKeyError,
-    WireFormatError,
 )
 from .httputil import HTTP_ERRORS, HttpService, QuietHandler
 
@@ -69,7 +69,10 @@ class EnvelopeChannel:
             raise PeerUnreachableError(f"{self.peer_did} at {url}: {exc}") from exc
         if status != 200:
             self._raise_for_error(status, body)
-        reply, sender = unpack(decode_wire(body), keys, self.owner.resolver)
+        try:
+            reply, sender = unpack(decode_wire(body), keys, self.owner.resolver)
+        except EnvelopeError as exc:
+            raise ProtocolError(f"undecodable reply from {self.peer_did}: {exc}") from exc
         if sender != self.peer_did:
             raise ProtocolError(f"reply authenticated as {sender}, expected {self.peer_did}")
         if reply.thread_id != msg.thread_id:
@@ -94,6 +97,11 @@ class EnvelopeChannel:
 def _make_handler(owner, dispatch):
     class EnvelopeHandler(QuietHandler):
         def do_POST(self):
+            if int(self.headers.get("Content-Length") or 0) > MAX_FRAME:
+                # refused unread, so the connection must close: the body would follow
+                self.send_bytes(413, b'{"error": "frame_too_large"}', "application/json",
+                                [("Connection", "close")])
+                return
             # Read first: an unread body would be parsed as the next request.
             body = self.read_body()
             if self.path != ENVELOPE_PATH:
@@ -115,7 +123,7 @@ def _make_handler(owner, dispatch):
                 log.warning("dropping envelope from unresolvable sender: %s", exc)
                 self.send_json(400, {"error": "unknown_sender", "message": str(exc)})
                 return
-            except (WireFormatError, EnvelopeError) as exc:
+            except EnvelopeError as exc:
                 log.warning("dropping undecryptable envelope: %s", exc)
                 self.send_json(400, {"error": "bad_envelope", "message": str(exc)})
                 return

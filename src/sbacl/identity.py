@@ -26,6 +26,10 @@ REGISTRY_PREFIX = "did:svdr:"
 _PEER_TAG = b"\x01"
 
 DEFAULT_CACHE_MAX_AGE = 300.0
+# After a failed registry fetch, a DID with a stale copy is not fetched again
+# for this many times the failed fetch's duration: a registry that hangs for
+# its client's whole timeout costs each DID at most one wait in three.
+OUTAGE_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -314,17 +318,22 @@ class Resolver:
     Peer DIDs resolve from the identifier alone. Registry DIDs are served
     from the cache while younger than `max_age`, otherwise fetched from
     `registry_client`, which also answers revocation status checks. When
-    the registry cannot be reached, a cached copy of any age is kept.
+    the registry cannot be reached, a cached copy of any age is kept, and
+    `resolve` serves it without asking again until the `OUTAGE_BACKOFF`
+    hold-off has passed.
     """
 
     def __init__(self, registry_client=None, max_age: float = DEFAULT_CACHE_MAX_AGE):
         self.registry_client = registry_client
         self.cache = ResolutionCache(max_age)
+        self._retry_at: dict[str, float] = {}  # DID -> monotonic end of its hold-off
 
     def resolve(self, did: Did | str) -> DidDocument:
         """The DID's current document, from the cache when fresh enough.
         Peer DIDs are never cached, so they always reach `refresh`."""
         doc = self.cache.get(did)
+        if doc is None and time.monotonic() < self._retry_at.get(str(did), 0.0):
+            doc = self.cache.last(did)
         return doc if doc is not None else self.refresh(did)
 
     def refresh(self, did: Did | str) -> DidDocument:
@@ -336,13 +345,17 @@ class Resolver:
             return extract_peer_document(did)
         if self.registry_client is None:
             raise IdentityError(f"registry DID {did} needs a registry client to resolve")
+        started = time.monotonic()
         try:
             doc = self.registry_client.resolve_did(str(did))
         except RegistryUnavailableError as exc:
             stale = self.cache.last(did)
             if stale is None:
                 raise
+            failed = time.monotonic()
+            self._retry_at[str(did)] = failed + OUTAGE_BACKOFF * (failed - started)
             log.warning("keeping stale document for %s: %s", did, exc)
             return stale
+        self._retry_at.pop(str(did), None)
         self.cache.put(doc)
         return doc

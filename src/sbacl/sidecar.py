@@ -32,7 +32,7 @@ from .credentials import (
     build_presentation,
     evaluate_authorization,
 )
-from .encoding import JsonLines, b64u_decode, b64u_encode
+from .encoding import JsonLines
 from .envelope import (
     MSG_REHANDSHAKE,
     MSG_TUNNEL_REQUEST,
@@ -46,6 +46,7 @@ from .errors import (
     ProtocolError,
     RegistryUnavailableError,
     StalePeerKeyError,
+    WireFormatError,
 )
 from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .identity import (
@@ -320,6 +321,8 @@ class Sidecar:
             return _json_error(503, "registry_unavailable", str(exc))
         except ProtocolError as exc:
             return _json_error(502, "tunnel_failed", str(exc))
+        except WireFormatError as exc:  # only our own frame can be refused here
+            return _json_error(413, "body_too_large", str(exc))
 
     def _tunnel(self, peer: str, method: str, path: str,
                 headers: list[tuple[str, str]], body: bytes,
@@ -330,8 +333,7 @@ class Sidecar:
             "method": method,
             "path": path,
             "headers": [[k, v] for k, v in headers if k.lower() not in HOP_HEADERS],
-            "body": b64u_encode(body),
-        })
+        }, payload=body)
         reply = EnvelopeChannel(self, peer).request(msg)
         if reply.type == MSG_REHANDSHAKE:
             # The peer lost its side of the association (restart with a wiped
@@ -348,11 +350,10 @@ class Sidecar:
         if reply.body.get("correlation_id") != correlation_id:
             raise ProtocolError("tunnel response correlates to a different request")
         status = body_field(reply, "status", int)
-        resp_body = body_field(reply, "body", b64u_decode)
         resp_headers = _headers(reply)
-        if None in (status, resp_body, resp_headers):
-            raise ProtocolError("tunnel response carries no usable status, headers or body")
-        return status, resp_headers, resp_body
+        if None in (status, resp_headers):
+            raise ProtocolError("tunnel response carries no usable status or headers")
+        return status, resp_headers, reply.payload
 
     # -- inbound path -----------------------------------------------------------------
 
@@ -389,9 +390,8 @@ class Sidecar:
             return msg.reply(MSG_REHANDSHAKE, {"reason": "unknown_association"})
         method, path, correlation_id = (body_field(msg, key, _string)
                                         for key in ("method", "path", "correlation_id"))
-        payload = body_field(msg, "body", b64u_decode)
         req_headers = _headers(msg)
-        if None in (method, path, correlation_id, payload, req_headers):
+        if None in (method, path, correlation_id, req_headers):
             log.info("%s: malformed tunnel frame from %s", self.name, sender)
             return self._tunnel_response(msg, 400, {"error": "malformed_message"})
         service = self._local_service_for(path)
@@ -403,7 +403,7 @@ class Sidecar:
             return self._tunnel_response(msg, 403, {"error": "authorization_denied"})
         try:
             status, resp_headers, resp_body = self._local_http.request(
-                method, self.local_nf_url + path, payload, dict(req_headers))
+                method, self.local_nf_url + path, msg.payload, dict(req_headers))
         except HTTP_ERRORS as exc:
             log.warning("%s: local NF unreachable: %s", self.name, exc)
             return self._tunnel_response(msg, 502, {"error": "local_nf_unreachable"})
@@ -412,18 +412,15 @@ class Sidecar:
             "correlation_id": correlation_id,
             "status": status,
             "headers": headers,
-            "body": b64u_encode(resp_body),
-        })
+        }, resp_body)
 
     @staticmethod
     def _tunnel_response(msg: ProtocolMessage, status: int, body: dict) -> ProtocolMessage:
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
         return msg.reply(MSG_TUNNEL_RESPONSE, {
             "correlation_id": msg.body.get("correlation_id", ""),
             "status": status,
             "headers": [["Content-Type", "application/json"]],
-            "body": b64u_encode(payload),
-        })
+        }, json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
 def _string(value) -> str:

@@ -54,6 +54,7 @@ def registry_http():
     client = RegistryHttpClient(server.base_url)
     yield registry, server, client
     server.stop()
+    client._http.close()  # left to the garbage collector, its socket can outlive the session
 
 
 @pytest.fixture

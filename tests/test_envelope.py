@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -189,7 +190,7 @@ def test_wire_roundtrip(alice, bob):
     _, env = packed(alice, bob, body={"k": "v" * 500})
     frame = encode_wire(env)
     again = decode_wire(frame)
-    assert again.to_dict() == env.to_dict()
+    assert again == env
     msg, _ = unpack(again, bob[0], RESOLVER)
     assert msg.body == {"k": "v" * 500}
 
@@ -197,30 +198,21 @@ def test_wire_roundtrip(alice, bob):
 def test_wire_truncation_and_padding(alice, bob):
     _, env = packed(alice, bob)
     frame = encode_wire(env)
-    with pytest.raises(WireFormatError):
-        decode_wire(frame[:-3])
-    with pytest.raises(WireFormatError):
-        decode_wire(frame + b"\x00")
-    with pytest.raises(WireFormatError):
-        decode_wire(b"\x00\x01")
-    with pytest.raises(WireFormatError):
-        decode_wire(b"")
+    for bad in (frame[:-3], frame + b"\x00", frame[:40], b"\x00\x01", b""):
+        with pytest.raises(EnvelopeError):
+            unpack(decode_wire(bad), bob[0], RESOLVER)
 
 
 def test_wire_declared_length_cap():
-    huge = (MAX_FRAME + 1).to_bytes(4, "big") + b"{}"
     with pytest.raises(WireFormatError):
-        decode_wire(huge)
+        decode_wire(bytes(MAX_FRAME + 1))
 
 
 def test_wire_body_must_be_an_envelope():
-    body = b'{"not": "an envelope"}'
-    frame = len(body).to_bytes(4, "big") + body
-    with pytest.raises(WireFormatError):
-        decode_wire(frame)
-    garbage = b"\x00\x00\x00\x03abc"
-    with pytest.raises(WireFormatError):
-        decode_wire(garbage)
+    for header in (b'["not", "an object"]', b"abc", b"\xff\xfe"):
+        frame = len(header).to_bytes(2, "big") + header + bytes(64)
+        with pytest.raises(WireFormatError):
+            decode_wire(frame)
 
 
 def test_encode_refuses_oversized_frame():
@@ -266,3 +258,51 @@ def test_roundtrip_property(body):
     assert claimed == sender[1]
     assert out.body == body
     assert out.thread_id == msg.thread_id
+
+
+@settings(max_examples=25)
+@given(payload=st.one_of(st.binary(max_size=2048), st.just(b""),
+                         st.just(b'{"type": "acl/1.0/ack", "body": {}}'),
+                         st.just(b"\x00\x00\x00\xff{}")))
+def test_payload_roundtrip_property(payload):
+    sender = make_peer()
+    recipient = make_peer()
+    msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {"method": "POST"}, payload=payload)
+    env = decode_wire(encode_wire(pack(msg, sender[0], sender[1], recipient[2])))
+    out, _ = unpack(env, recipient[0], RESOLVER)
+    assert out.payload == payload
+    assert out.body == {"method": "POST"}
+
+
+def test_flipped_payload_byte_is_an_integrity_failure(alice, bob):
+    msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {}, payload=b"p" * 100)
+    env = pack(msg, alice[0], alice[1], bob[2])
+    ct = bytearray(env.ciphertext)
+    ct[-1] ^= 1  # the payload is the tail of the plaintext
+    with pytest.raises(EnvelopeIntegrityError):
+        unpack(dataclasses.replace(env, ciphertext=bytes(ct)), bob[0], RESOLVER)
+
+
+class _OverlongHead(struct.Struct):
+    """Declares a message head 1000 bytes longer than the one that follows."""
+
+    def pack(self, length):
+        return super().pack(length + 1000)
+
+
+def test_head_length_past_the_plaintext_is_refused(alice, bob, monkeypatch):
+    monkeypatch.setattr(envelope, "_HEAD_LEN", _OverlongHead(">I"))
+    env = pack(ProtocolMessage(MSG_ACK, {}, payload=b"x" * 10), alice[0], alice[1], bob[2])
+    monkeypatch.undo()
+    with pytest.raises(EnvelopeError, match="overruns"):
+        unpack(env, bob[0], RESOLVER)
+
+
+def test_tunneled_body_travels_without_expansion(alice, bob):
+    body = bytes(range(256)) * 256  # 64 KiB
+    msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
+        "correlation_id": "0b6c2f0e-6a43-4a8e-9f4e-3f1d0d6b9a51", "method": "POST",
+        "path": "/nudm-uecm/v1/registrations",
+        "headers": [["Content-Type", "application/json"], ["Accept", "*/*"]],
+    }, payload=body)
+    assert len(encode_wire(pack(msg, alice[0], alice[1], bob[2]))) <= len(body) + 1024

@@ -1,5 +1,6 @@
 import copy
 import json
+import socket
 import sys
 import threading
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from sbacl.errors import ConfigError, SbaclError
 from sbacl.httputil import HttpClient
+from sbacl.vdr_http import RegistryHttpClient
 from sbacl.harness import (
     ScenarioError,
     Topology,
@@ -278,6 +280,28 @@ def test_registry_outage_runs_on_cached_documents():
         assert udm.request_count() - seen == len(MINI_SCRIPT["steps"])
     finally:
         topology.shutdown()
+
+
+def test_registry_that_never_answers_costs_each_resolver_one_wait():
+    timeout = 1.0
+    topology = launch_topology(MINI_TOPOLOGY)
+    # accepts connections (the kernel does) but never answers a request
+    with socket.create_server(("127.0.0.1", 0)) as hung:
+        try:
+            assert run_scenario(topology, MINI_SCRIPT, "tunneled").passed
+            url = "http://127.0.0.1:%d" % hung.getsockname()[1]
+            for handle in topology.nfs.values():
+                handle.sidecar.resolver.registry_client = RegistryHttpClient(url, timeout)
+                handle.sidecar.resolver.cache.max_age = 0.0  # every document is due
+            started = time.monotonic()
+            transcript = run_scenario(topology, MINI_SCRIPT, "tunneled", halt_on_failure=False)
+            elapsed = time.monotonic() - started
+            assert [r.status for r in transcript.results] == \
+                [step["expected_status"] for step in MINI_SCRIPT["steps"]]
+            # one wait per sidecar's peer lookup, not one per lookup of every step
+            assert elapsed < 2.5 * timeout, elapsed
+        finally:
+            topology.shutdown()
 
 
 def test_topology_exposes_components(mini):

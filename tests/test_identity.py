@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sbacl import identity
 from sbacl.errors import IdentityError, RegistryUnavailableError, UnknownDidError
 from sbacl.identity import (
+    OUTAGE_BACKOFF,
     ResolutionCache,
     Resolver,
     create_peer_did,
@@ -202,6 +204,54 @@ def test_resolver_keeps_a_cached_copy_through_a_registry_outage(registry_http, c
     assert "keeping stale document" in caplog.text
     with pytest.raises(RegistryUnavailableError):
         resolver.resolve(unseen)
+
+
+class _Clock:
+    """Stands in for the `time` module inside `sbacl.identity`."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def time(self):
+        return self.now
+
+    monotonic = time
+
+
+class _SlowOutage:
+    """A registry client that serves `doc` until `down`, then fails after
+    `wait` seconds of the clock."""
+
+    def __init__(self, doc, clock, wait):
+        self.doc, self.clock, self.wait = doc, clock, wait
+        self.down, self.calls = False, 0
+
+    def resolve_did(self, did):
+        self.calls += 1
+        if not self.down:
+            return self.doc
+        self.clock.now += self.wait
+        raise RegistryUnavailableError("timed out")
+
+
+def test_resolver_holds_off_a_registry_that_just_failed(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(identity, "time", clock)
+    _, doc = create_registry_did(generate_keypair())
+    client = _SlowOutage(doc, clock, wait=10.0)
+    resolver = Resolver(client, max_age=0.0)
+    assert resolver.resolve(str(doc.did)) == doc
+    client.down = True
+    clock.now += 1  # the cached copy is past max_age
+    assert resolver.resolve(str(doc.did)) == doc  # waits once, keeps the copy
+    assert client.calls == 2
+    clock.now += OUTAGE_BACKOFF * client.wait - 1
+    assert resolver.resolve(str(doc.did)) == doc  # held off: no second wait
+    assert client.calls == 2
+    clock.now += 1
+    client.down = False
+    assert resolver.resolve(str(doc.did)) == doc  # the hold-off is over
+    assert client.calls == 3
 
 
 def test_resolve_unknown_registry_did(registry):

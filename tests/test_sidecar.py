@@ -1,14 +1,14 @@
 import json
 import logging
 import math
+import socket
 import time
 
 import pytest
 import requests
 
 from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ
-from sbacl.encoding import b64u_decode, b64u_encode
-from sbacl.envelope import MSG_TUNNEL_REQUEST, MSG_TUNNEL_RESPONSE, ProtocolMessage
+from sbacl.envelope import MAX_FRAME, MSG_TUNNEL_REQUEST, MSG_TUNNEL_RESPONSE, ProtocolMessage
 from sbacl.httputil import HttpService, QuietHandler
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
@@ -93,13 +93,13 @@ class World:
         for stop in reversed(self.started):
             stop()
 
-    def call(self, method, path, body=None, headers=None, consumer=None):
+    def call(self, method, path, body=None, headers=None, consumer=None, data=None):
         consumer = consumer or self.consumer
         merged = {"Host": "UDM-1"}
         merged.update(headers or {})
         return requests.request(method, consumer.intercept_url + path,
                                 headers=merged,
-                                data=json.dumps(body) if body is not None else None,
+                                data=json.dumps(body) if body is not None else data,
                                 timeout=10)
 
 
@@ -252,8 +252,7 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
         "method": "POST",
         "path": "/nudm-uecm/v1/registrations",
         "headers": [list(framing)],
-        "body": b64u_encode(smuggled),
-    })
+    }, payload=smuggled)
     reply = world.producer.handle_inbound(msg, world.consumer.did)
     assert reply.body["status"] == 201
     time.sleep(0.3)  # the NF would serve a smuggled request right after
@@ -265,7 +264,7 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     ("path", None),  # None: the field is missing
     ("path", 7),
     ("method", ["GET"]),
-    ("body", "not base64!"),
+    ("method", None),
     ("correlation_id", None),
     ("headers", "abc"),
     ("headers", [["a"]]),
@@ -275,7 +274,7 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
 def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     frame = {"correlation_id": "c-1", "method": "GET", "path": "/nudm-sdm/v2/data",
-             "headers": [], "body": ""}
+             "headers": []}
     if value is None:
         del frame[field]
     else:
@@ -284,12 +283,12 @@ def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
                                           world.consumer.did)
     assert reply.type == MSG_TUNNEL_RESPONSE
     assert reply.body["status"] == 400
-    assert json.loads(b64u_decode(reply.body["body"])) == {"error": "malformed_message"}
+    assert json.loads(reply.payload) == {"error": "malformed_message"}
     assert world.producer_nf.requests == [("GET", "/nudm-sdm/v2/data")]
 
 
 @pytest.mark.parametrize("field,value", [("status", None), ("status", "ok"),
-                                         ("body", None), ("body", 7),
+                                         ("correlation_id", None), ("correlation_id", 7),
                                          ("headers", [["x"]]), ("headers", "abc"),
                                          ("headers", [[1, "x"]])])
 def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
@@ -305,6 +304,20 @@ def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
         return reply
 
     world.producer._on_tunnel_request = garbling
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert resp.status_code == 502
+    assert resp.json()["error"] == "tunnel_failed"
+
+
+def test_undecodable_peer_reply_is_a_tunnel_failure(world):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    request = world.consumer.http.request
+
+    def truncating(*args, **kwargs):
+        status, headers, body = request(*args, **kwargs)
+        return status, headers, body[:-1]
+
+    world.consumer.http.request = truncating
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 502
     assert resp.json()["error"] == "tunnel_failed"
@@ -454,6 +467,36 @@ def test_unreachable_local_nf_answers_local_nf_unreachable(world):
     assert resp.json() == {"error": "local_nf_unreachable"}
 
 
+# --- oversized bodies -------------------------------------------------------------
+
+
+def test_oversized_intercepted_body_is_refused(world):
+    # associate first, through an ungranted operation the NF never sees
+    assert world.call("DELETE", "/nudm-sdm/v2/data").status_code == 403
+    started = time.monotonic()
+    resp = world.call("POST", "/nudm-uecm/v1/registrations", data=bytes(MAX_FRAME + 1024 ** 2))
+    assert time.monotonic() - started < 1.0
+    assert resp.status_code == 413
+    assert resp.json()["error"] == "body_too_large"
+    assert world.producer_nf.request_count() == 0
+
+
+def test_oversized_envelope_is_refused_unread(world):
+    host, port = world.producer.peer_server.host, world.producer.peer_server.port
+    with socket.create_connection((host, port), timeout=1.0) as sock:
+        started = time.monotonic()
+        sock.sendall(f"POST /envelope HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {MAX_FRAME + 1}\r\n\r\n".encode())
+        answer = b""
+        while chunk := sock.recv(4096):  # the server closes after answering
+            answer += chunk
+    assert time.monotonic() - started < 1.0
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413")
+    assert json.loads(body) == {"error": "frame_too_large"}
+    assert world.producer_nf.request_count() == 0
+
+
 # --- association store -------------------------------------------------------------
 
 
@@ -479,6 +522,16 @@ def test_association_store_corruption_degrades_to_empty(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{this is not json\n")
     assert AssociationStore(path).load() == {}
+
+
+def test_association_store_drops_only_a_torn_last_record(tmp_path):
+    path = tmp_path / "assoc.jsonl"
+    store = AssociationStore(path)
+    for peer in ("did:speer:p", "did:speer:q", "did:speer:r"):
+        store.append(Association(peer=peer, direction="outbound", established=True))
+    path.write_bytes(path.read_bytes()[:-40])  # a crash in the middle of the last append
+    loaded = AssociationStore(path).load()
+    assert set(loaded) == {("did:speer:p", "outbound"), ("did:speer:q", "outbound")}
 
 
 def test_association_store_disabled(tmp_path):

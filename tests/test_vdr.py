@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -229,6 +230,31 @@ def test_dropped_registry_leaves_no_file_open(tmp_path):
 def test_log_replay_rejects_garbage_line(tmp_path):
     log = tmp_path / "registry.jsonl"
     log.write_text("not json at all\n")
+    with pytest.raises(RegistryError) as err:
+        Registry(log_path=log)
+    assert err.value.code == "corrupt_log"
+
+
+def test_torn_last_line_is_cut_off_on_replay(tmp_path, caplog):
+    log = tmp_path / "registry.jsonl"
+    registry = Registry(log_path=log)
+    docs = [register_identity(registry)[1] for _ in range(3)]
+    log.write_bytes(log.read_bytes()[:-40])  # a crash in the middle of the third append
+    with caplog.at_level(logging.WARNING, logger="sbacl.encoding"):
+        reopened = Registry(log_path=log)
+    assert "torn last line" in caplog.text
+    assert reopened.resolve_did(docs[1].did) == docs[1]
+    with pytest.raises(UnknownDidError):
+        reopened.resolve_did(docs[2].did)
+    # the next append starts on a line of its own, so the log replays again
+    _, fourth = register_identity(reopened)
+    assert Registry(log_path=log).resolve_did(fourth.did) == fourth
+
+
+def test_bad_line_before_the_last_still_fails_replay(tmp_path):
+    log = tmp_path / "registry.jsonl"
+    register_identity(Registry(log_path=log))
+    log.write_text('{"event": "regis\n' + log.read_text())
     with pytest.raises(RegistryError) as err:
         Registry(log_path=log)
     assert err.value.code == "corrupt_log"
