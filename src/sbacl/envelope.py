@@ -51,7 +51,6 @@ _WRAP_NONCE = b"\x00" * NONCE_SIZE
 # Every message type that may travel in an envelope. Anything else is
 # rejected at pack and unpack time.
 MSG_OFFER = "acl/1.0/offer"
-MSG_REQUEST = "acl/1.0/request"
 MSG_ISSUE = "acl/1.0/issue"
 MSG_PRESENT_REQUEST = "acl/1.0/present-request"
 MSG_PRESENTATION = "acl/1.0/presentation"
@@ -63,7 +62,6 @@ MSG_REHANDSHAKE = "tunnel/1.0/rehandshake"
 
 REGISTERED_TYPES = frozenset({
     MSG_OFFER,
-    MSG_REQUEST,
     MSG_ISSUE,
     MSG_PRESENT_REQUEST,
     MSG_PRESENTATION,

@@ -11,7 +11,8 @@ sender, garbage bytes) cannot be answered with an encrypted reply, so they
 come back as plain JSON error bodies with HTTP 400. A registry outage
 that leaves a DID unresolved or a revocation status unread is HTTP 503
 `registry_unavailable`. A request declaring more than `MAX_FRAME` bytes is
-refused unread with HTTP 413 `frame_too_large`, and its connection closed.
+refused unread with HTTP 413 `frame_too_large`, and its connection closed;
+a reply that would exceed it is answered with HTTP 502 `response_too_large`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     RegistryUnavailableError,
     StaleKeyError,
     StalePeerKeyError,
+    WireFormatError,
 )
 from .httputil import HTTP_ERRORS, HttpService, QuietHandler
 
@@ -97,7 +99,7 @@ class EnvelopeChannel:
 def _make_handler(owner, dispatch):
     class EnvelopeHandler(QuietHandler):
         def do_POST(self):
-            if int(self.headers.get("Content-Length") or 0) > MAX_FRAME:
+            if self.content_length > MAX_FRAME:
                 # refused unread, so the connection must close: the body would follow
                 self.send_bytes(413, b'{"error": "frame_too_large"}', "application/json",
                                 [("Connection", "close")])
@@ -137,6 +139,10 @@ def _make_handler(owner, dispatch):
                 wire = encode_wire(pack(reply, owner.keys, owner.did, sender_doc))
             except RegistryUnavailableError as exc:
                 self.registry_unavailable(exc)
+                return
+            except WireFormatError as exc:  # the reply outgrew the frame limit
+                log.warning("cannot answer %s from %s: %s", msg.type, sender, exc)
+                self.send_json(502, {"error": "response_too_large"})
                 return
             except Exception:
                 log.exception("dispatch failed for %s from %s", msg.type, sender)

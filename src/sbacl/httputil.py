@@ -37,9 +37,23 @@ class QuietHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
+    def parse_request(self) -> bool:
+        """Parse the request line and headers, then `Content-Length` into
+        `self.content_length` (0 when absent). A length that is not a
+        decimal digit string is answered 400 here, and the connection closed
+        because its body cannot be told from the next request."""
+        if not super().parse_request():
+            return False
+        value = self.headers.get("Content-Length") or "0"
+        if not (value.isascii() and value.isdigit()):
+            self.send_bytes(400, b'{"error": "bad_content_length"}', "application/json",
+                            [("Connection", "close")])
+            return False
+        self.content_length = int(value)
+        return True
+
     def read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        return self.rfile.read(self.content_length) if self.content_length else b""
 
     def send_bytes(self, status: int, body: bytes, content_type: str = "application/octet-stream",
                    extra_headers: list[tuple[str, str]] | None = None) -> None:

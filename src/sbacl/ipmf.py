@@ -32,20 +32,18 @@ from .credentials import (
 )
 from .encoding import JsonLines, b64u_decode, b64u_encode, sha256
 from .envelope import (
-    MSG_ACK,
     MSG_DENY,
     MSG_ISSUE,
     MSG_OFFER,
     MSG_PRESENT_REQUEST,
     MSG_PRESENTATION,
-    MSG_REQUEST,
     ProtocolMessage,
 )
 from .envelope_http import EnvelopeHttpServer
 from .crypto import ed25519_sign
 from .errors import ConfigError, IssuanceError, RegistryError
 from .identity import KeyPair, Resolver, create_registry_did, generate_keypair, publish_document
-from .protocols import IssuanceSession, SessionStore, body_field
+from .protocols import Session, SessionStore, body_field
 from .vdr import revocation_request_bytes, revoke_request_bytes
 
 log = logging.getLogger(__name__)
@@ -330,18 +328,12 @@ class Ipmf:
     def handle(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         if msg.type == MSG_OFFER:
             return self._on_offer(msg, sender)
-        session = self.sessions.get(msg.thread_id)
-        if session is None or session.subject_did != sender:
+        session = self.sessions.take(msg.thread_id, sender)
+        if session is None:
             return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
         if msg.type == MSG_PRESENTATION:
-            return self._on_identification(msg, session)
-        if msg.type == MSG_REQUEST:
-            return self._on_request(msg, session)
-        return self._refuse(msg, {"reason": f"unexpected {msg.type}"})
-
-    def _refuse(self, msg: ProtocolMessage, body: dict) -> ProtocolMessage:
-        self.sessions.drop(msg.thread_id)
-        return msg.reply(MSG_DENY, body)
+            return self._on_presentation(msg, session)
+        return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type}"})
 
     def _on_offer(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         kind = msg.body.get("kind")
@@ -349,59 +341,49 @@ class Ipmf:
             # Delegation runs through the administrative path, never the
             # NF-facing protocol.
             return msg.reply(MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
-        session = IssuanceSession(thread_id=msg.thread_id, offered_kind=kind,
-                                  subject_did=sender, challenge=fresh_challenge())
+        requested = body_field(msg, "claims", _string_map)
+        if requested is None:
+            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
+        session = Session(thread_id=msg.thread_id, peer=sender, challenge=fresh_challenge(),
+                          request=(kind, requested))
         self.sessions.put(session)
         return msg.reply(MSG_PRESENT_REQUEST, {
             "challenge": b64u_encode(session.challenge),
             "kinds": [KIND_AUTHN],
         })
 
-    def _on_identification(self, msg: ProtocolMessage,
-                           session: IssuanceSession) -> ProtocolMessage:
+    def _on_presentation(self, msg: ProtocolMessage, session: Session) -> ProtocolMessage:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
-            return self._refuse(msg, {"reason": "malformed_message"})
+            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.trust_policy(),
-                                      self.resolver, expected_holder=session.subject_did)
+                                      self.resolver, expected_holder=session.peer)
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
-                     self.name, session.subject_did, verdict.failures)
-            return self._refuse(msg, {"failures": verdict.failures})
-        merged: dict[str, str] = {}
+                     self.name, session.peer, verdict.failures)
+            return msg.reply(MSG_DENY, {"failures": verdict.failures})
+        authn_claims: dict[str, str] = {}
         for vc in vp.credentials:
             if vc.kind == KIND_AUTHN:
-                merged.update(vc.claims)
-        session.authn_claims = merged
-        return msg.reply(MSG_ACK, {})
-
-    def _on_request(self, msg: ProtocolMessage, session: IssuanceSession) -> ProtocolMessage:
-        if session.authn_claims is None:
-            return self._refuse(msg, {"reason": "not_identified"})
-        kind = msg.body.get("kind")
-        requested = body_field(msg, "claims", _string_map)
-        if requested is None:
-            return self._refuse(msg, {"reason": "malformed_message"})
-        if kind != session.offered_kind:
-            return self._refuse(msg, {"reason": "request_differs_from_offer"})
+                authn_claims.update(vc.claims)
+        kind, requested = session.request
         if creds.REQUIRED_RIGHT.get(kind) not in self.effective_rights:
-            return self._refuse(msg, {"reason": "insufficient_rights"})
+            return msg.reply(MSG_DENY, {"reason": "insufficient_rights"})
         rule = next(
             (r for r in self.policy
-             if r.matches(session.authn_claims, kind, requested)),
+             if r.matches(authn_claims, kind, requested)),
             None,
         )
         if rule is None:
             log.info("%s: no policy rule for %s request by %s",
-                     self.name, kind, session.subject_did)
-            return self._refuse(msg, {"reason": "policy_denied"})
+                     self.name, kind, session.peer)
+            return msg.reply(MSG_DENY, {"reason": "policy_denied"})
         granted = dict(rule.grant) if rule.grant else requested
         try:
-            vc = self.issue_credential_to(session.subject_did, kind, granted,
+            vc = self.issue_credential_to(session.peer, kind, granted,
                                           validity=rule.validity)
         except IssuanceError as exc:
-            return self._refuse(msg, {"reason": exc.code})
-        self.sessions.drop(session.thread_id)
+            return msg.reply(MSG_DENY, {"reason": exc.code})
         return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})
 
 

@@ -1,15 +1,24 @@
 """Message-level protocols: credential issuance and the access-control
 handshake.
 
-Both run over a request/reply envelope channel. The initiating side
-drives the exchange as a sequence of synchronous calls and keeps nothing
-but the thread id; the responding side is a stateful handler keyed by
-thread id, because its view of one exchange spans several incoming messages.
+Both run over a request/reply envelope channel, and both take two
+exchanges. The responder's challenge rides on its first reply, so no
+exchange exists only to fetch it:
 
-The responding side keeps one record per open thread. Its handlers check
-each incoming message against the phase the record is in, and every ending
-of an exchange (success, refusal, a deny, an out-of-phase message) removes
-the record; a thread left idle past the timeout is reaped.
+- issuance: `offer{kind, claims}` is answered by
+  `present-request{challenge, kinds}`, then the holder's `presentation`
+  by `issue` or `deny`;
+- handshake: `present-request{challenge}` is answered by the producer's
+  `presentation{presentation, challenge}`, then the consumer's combined
+  `presentation` by `ack` or `deny`. The consumer verifies the producer
+  before it sends anything else, so its AuthZ credentials only ever reach
+  a verified producer.
+
+The initiating side drives the exchange as a sequence of synchronous calls
+and keeps nothing but the thread id. The responding side keeps one
+`Session` per open thread, from its first reply to the next message on that
+thread; every such message ends the session, whatever its outcome, and a
+thread left idle past the timeout is reaped.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from .envelope import (
     MSG_OFFER,
     MSG_PRESENT_REQUEST,
     MSG_PRESENTATION,
-    MSG_REQUEST,
     ProtocolMessage,
 )
 from .errors import (
@@ -60,30 +68,14 @@ def body_field(msg: ProtocolMessage, key: str, parse):
 
 
 @dataclass
-class IssuanceSession:
-    """The issuer's record of one open issuance thread."""
-
-    thread_id: str
-    subject_did: str
-    offered_kind: str
-    challenge: bytes
-    authn_claims: dict[str, str] | None = None  # merged once identification succeeds
-    updated_at: float = dc_field(default_factory=time.time)
-
-
-@dataclass
-class HandshakeSession:
-    """The producer's record of one open handshake thread.
-
-    `challenge` stays None until the consumer ACKs the producer's
-    identification; its presence is the phase the thread is in.
-    """
+class Session:
+    """A responder's record of one open thread: the peer it belongs to and
+    the challenge the responder sent it."""
 
     thread_id: str
     peer: str
-    challenge: bytes | None = None
-    authn_claims: list[dict] = dc_field(default_factory=list)
-    authz_claims: list[dict] = dc_field(default_factory=list)
+    challenge: bytes
+    request: tuple[str, dict[str, str]] | None = None  # issuance: the offered kind and claims
     updated_at: float = dc_field(default_factory=time.time)
 
 
@@ -92,23 +84,24 @@ class SessionStore:
 
     def __init__(self, timeout: float = DEFAULT_SESSION_TIMEOUT):
         self.timeout = timeout
-        self._sessions: dict[str, IssuanceSession | HandshakeSession] = {}
+        self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
 
-    def put(self, session) -> None:
+    def put(self, session: Session) -> None:
         with self._lock:
             self._sessions[session.thread_id] = session
 
-    def get(self, thread_id: str):
+    def take(self, thread_id: str, peer: str) -> Session | None:
+        """Remove and return the thread's session, or None when no session
+        is open under that id for `peer`; someone else's stays open."""
         self.reap()
         with self._lock:
-            return self._sessions.get(thread_id)
+            session = self._sessions.get(thread_id)
+            if session is None or session.peer != peer:
+                return None
+            return self._sessions.pop(thread_id)
 
-    def drop(self, thread_id: str) -> None:
-        with self._lock:
-            self._sessions.pop(thread_id, None)
-
-    def reap(self, now: float | None = None) -> list:
+    def reap(self, now: float | None = None) -> list[Session]:
         """Evict every session idle for longer than the timeout."""
         now = time.time() if now is None else now
         with self._lock:
@@ -135,9 +128,9 @@ def run_issuance(
 ) -> VerifiableCredential:
     """Obtain one credential from an issuer over an established channel.
 
-    The exchange is offer, identification (present-request/presentation
-    against the issuer's challenge, answered from the bootstrap wallet),
-    then request and issue.
+    The offer names what is asked for and is answered with the issuer's
+    challenge; the presentation answers that challenge from the bootstrap
+    wallet and is answered with the credential.
     """
     thread_id = str(uuid.uuid4())
     reply = channel.request(ProtocolMessage(MSG_OFFER, {"kind": kind, "claims": claims},
@@ -160,13 +153,9 @@ def run_issuance(
     reply = channel.request(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
                                             thread_id=thread_id))
     if reply.type == MSG_DENY:
-        raise IdentificationRejectedError(str(reply.body.get("failures", reply.body)))
-    if reply.type != MSG_ACK:
-        raise ProtocolError(f"expected identification ack, got {reply.type}")
-
-    reply = channel.request(ProtocolMessage(MSG_REQUEST, {"kind": kind, "claims": claims},
-                                            thread_id=thread_id))
-    if reply.type == MSG_DENY:
+        # verification failures reject the holder; a reason refuses the request
+        if "failures" in reply.body:
+            raise IdentificationRejectedError(str(reply.body["failures"]))
         raise PolicyDeniedError(reply.body.get("reason", str(reply.body)))
     if reply.type != MSG_ISSUE:
         raise ProtocolError(f"expected issued credential, got {reply.type}")
@@ -230,27 +219,21 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
     if reply.type != MSG_PRESENTATION:
         raise HandshakeRejectedError("peer_refused_identification", reply.type)
     vp = body_field(reply, "presentation", VerifiablePresentation.from_dict)
-    if vp is None:
+    peer_challenge = body_field(reply, "challenge", b64u_decode)
+    if vp is None or peer_challenge is None:
         raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
                                   expected_holder=str(peer_did))
     if not verdict.ok:
         channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
         raise HandshakeRejectedError("peer_identification_failed", ",".join(verdict.failures))
-    authn_claims = _extract_claims(vp, KIND_AUTHN)
 
-    reply = channel.request(ProtocolMessage(MSG_ACK, {}, thread_id=thread_id))
-    if reply.type != MSG_PRESENT_REQUEST:
-        raise HandshakeRejectedError("peer_skipped_authorization_challenge", reply.type)
-    peer_challenge = body_field(reply, "challenge", b64u_decode)
-    if peer_challenge is None:
-        raise HandshakeRejectedError("malformed_reply")
     our_vp = profile.combined_vp(peer_challenge)
     reply = channel.request(ProtocolMessage(
         MSG_PRESENTATION, {"presentation": our_vp.to_dict()}, thread_id=thread_id,
     ))
     if reply.type == MSG_ACK:
-        return authn_claims
+        return _extract_claims(vp, KIND_AUTHN)
     detail = ",".join(reply.body.get("failures", [])) or reply.body.get("reason", "")
     raise HandshakeRejectedError("authorization_denied", detail)
 
@@ -258,9 +241,9 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
 class HandshakeResponder:
     """Producer side of the handshake, driven one message at a time.
 
-    An established handshake surfaces through `on_established(session)`;
-    the caller (the sidecar) uses that to create the association that
-    tunnel traffic is checked against.
+    An established handshake surfaces through
+    `on_established(peer, authz_claims)`; the caller (the sidecar) uses that
+    to create the association that tunnel traffic is checked against.
     """
 
     def __init__(self, profile: HandshakeProfile, on_established=None):
@@ -271,14 +254,11 @@ class HandshakeResponder:
     def handle(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
         if msg.type == MSG_PRESENT_REQUEST:
             return self._on_identify(msg, sender)
-        session = self.sessions.get(msg.thread_id)
-        if session is None or session.peer != sender:
+        session = self.sessions.take(msg.thread_id, sender)
+        if session is None:
             return msg.reply(MSG_DENY, {"reason": "unknown_thread"})
-        if msg.type == MSG_ACK and session.challenge is None:
-            return self._on_identified(msg, session)
-        if msg.type == MSG_PRESENTATION and session.challenge is not None:
+        if msg.type == MSG_PRESENTATION:
             return self._on_authorize(msg, session)
-        self.sessions.drop(msg.thread_id)
         if msg.type == MSG_DENY:
             return msg.reply(MSG_ACK, {})
         return msg.reply(MSG_DENY, {"reason": f"unexpected {msg.type}"})
@@ -293,36 +273,25 @@ class HandshakeResponder:
             # Nothing to present (empty wallet or unusable challenge): refuse
             # up front rather than leave a half-open session behind.
             return msg.reply(MSG_DENY, {"reason": "cannot_present"})
-        self.sessions.put(HandshakeSession(thread_id=msg.thread_id, peer=sender))
-        return msg.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
-
-    def _on_identified(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:
-        session.challenge = fresh_challenge()
-        session.updated_at = time.time()
-        return msg.reply(MSG_PRESENT_REQUEST, {
+        session = Session(thread_id=msg.thread_id, peer=sender, challenge=fresh_challenge())
+        self.sessions.put(session)
+        return msg.reply(MSG_PRESENTATION, {
+            "presentation": vp.to_dict(),
             "challenge": b64u_encode(session.challenge),
-            "kinds": [KIND_AUTHN, KIND_AUTHZ],
         })
 
-    def _on_authorize(self, msg: ProtocolMessage, session: HandshakeSession) -> ProtocolMessage:
+    def _on_authorize(self, msg: ProtocolMessage, session: Session) -> ProtocolMessage:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
-            return self._refuse(msg, {"reason": "malformed_message"})
+            return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         verdict = verify_presentation(vp, session.challenge, self.profile.trust,
                                       self.profile.resolver, expected_holder=session.peer)
         if not verdict.ok:
-            return self._refuse(msg, {"failures": verdict.failures})
+            return msg.reply(MSG_DENY, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)
         gate = self.profile.authz_gate or (lambda claims: True)
         if not gate(authz_claims):
-            return self._refuse(msg, {"failures": ["insufficient_rights"]})
-        session.authn_claims = _extract_claims(vp, KIND_AUTHN)
-        session.authz_claims = authz_claims
-        self.sessions.drop(msg.thread_id)
+            return msg.reply(MSG_DENY, {"failures": ["insufficient_rights"]})
         if self.on_established is not None:
-            self.on_established(session)
+            self.on_established(session.peer, authz_claims)
         return msg.reply(MSG_ACK, {})
-
-    def _refuse(self, msg: ProtocolMessage, body: dict) -> ProtocolMessage:
-        self.sessions.drop(msg.thread_id)
-        return msg.reply(MSG_DENY, body)

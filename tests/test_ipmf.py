@@ -14,10 +14,11 @@ from sbacl.credentials import (
 )
 from sbacl.encoding import b64u_decode, b64u_encode
 from sbacl.envelope import (
+    MSG_ACK,
     MSG_DENY,
     MSG_OFFER,
+    MSG_PRESENT_REQUEST,
     MSG_PRESENTATION,
-    MSG_REQUEST,
     ProtocolMessage,
 )
 from sbacl.errors import ConfigError, IssuanceError, PolicyDeniedError
@@ -33,8 +34,10 @@ class DirectChannel:
     def __init__(self, handler, sender_did):
         self.handler = handler
         self.sender = sender_did
+        self.sent = []
 
     def request(self, msg):
+        self.sent.append(msg)
         return self.handler(msg, self.sender)
 
 
@@ -205,6 +208,8 @@ def test_protocol_issuance_happy_path(domain):
     assert vc.delegation_chain[0].issuer == root.did
     assert vc.revocation == (child.revocation_registry_id, vc.credential_id)
     assert len(child.sessions) == 0
+    # two exchanges: the issuer's challenge answers the offer
+    assert [m.type for m in channel.sent] == [MSG_OFFER, MSG_PRESENTATION]
 
 
 def test_protocol_policy_first_match_wins(domain):
@@ -280,24 +285,30 @@ def test_protocol_unknown_thread_and_sequencing(domain):
     registry, root, child = domain
     holder_keys, holder_did, bootstrap = enrolled_holder(child)
 
-    orphan = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
-                             thread_id="never-opened")
+    def presentation(reply):
+        vp = build_presentation(holder_keys, holder_did, [bootstrap],
+                                b64u_decode(reply.body["challenge"]))
+        return reply.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
+
+    orphan = ProtocolMessage(MSG_PRESENTATION, {"presentation": {}}, thread_id="never-opened")
     assert child.handle(orphan, holder_did).body["reason"] == "unknown_thread"
 
-    offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
-    child.handle(offer, holder_did)
-    skip_ahead = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
-                                 thread_id=offer.thread_id)
-    reply = child.handle(skip_ahead, holder_did)
+    # an out-of-phase message ends the thread
+    opened = child.handle(ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}}),
+                          holder_did)
+    stray = ProtocolMessage(MSG_ACK, {}, thread_id=opened.thread_id)
+    reply = child.handle(stray, holder_did)
     assert reply.type == MSG_DENY
-    assert reply.body["reason"] == "not_identified"
+    assert reply.body["reason"] == f"unexpected {MSG_ACK}"
+    assert len(child.sessions) == 0
+    assert child.handle(presentation(opened), holder_did).body["reason"] == "unknown_thread"
 
-    # a different sender cannot continue someone else's thread
-    offer2 = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
-    child.handle(offer2, holder_did)
-    hijack = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
-                             thread_id=offer2.thread_id)
+    # a different sender cannot continue someone else's thread, nor end it
+    opened = child.handle(ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}}),
+                          holder_did)
+    hijack = presentation(opened)
     assert child.handle(hijack, "did:speer:other").body["reason"] == "unknown_thread"
+    assert child.handle(hijack, holder_did).type != MSG_DENY
 
 
 def test_reaped_offer_leaves_no_thread_state(registry):
@@ -328,8 +339,8 @@ def test_protocol_identification_without_presentation_is_denied(domain):
     reply = child.handle(empty, holder_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "malformed_message"
-    # the session failed: the thread cannot go on to a request
-    follow_up = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": {}},
+    # the session failed: the thread cannot be retried
+    follow_up = ProtocolMessage(MSG_PRESENTATION, {"presentation": {}},
                                 thread_id=offer.thread_id)
     assert child.handle(follow_up, holder_did).body["reason"] == "unknown_thread"
 
@@ -352,36 +363,21 @@ def test_protocol_identification_by_another_holder_is_denied(domain):
 
 def test_malformed_request_claims_are_denied(domain):
     registry, root, child = domain
-    holder_keys, holder_did, bootstrap = enrolled_holder(child)
-    for claims in ("abc", 7, [[1]], {"nf_type": 1}):
-        offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
-        reply = child.handle(offer, holder_did)
-        vp = build_presentation(holder_keys, holder_did, [bootstrap],
-                                b64u_decode(reply.body["challenge"]))
-        reply = child.handle(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
-                                             thread_id=offer.thread_id), holder_did)
-        assert reply.type != MSG_DENY
-        request = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHN, "claims": claims},
-                                  thread_id=offer.thread_id)
-        reply = child.handle(request, holder_did)
+    _, holder_did, _ = enrolled_holder(child)
+    for body in ({"kind": KIND_AUTHN}, *({"kind": KIND_AUTHN, "claims": claims}
+                                         for claims in ("abc", 7, [[1]], {"nf_type": 1}))):
+        reply = child.handle(ProtocolMessage(MSG_OFFER, body), holder_did)
         assert (reply.type, reply.body) == (MSG_DENY, {"reason": "malformed_message"})
+    for kind in (None, "NoSuchKind", KIND_DEL):
+        reply = child.handle(ProtocolMessage(MSG_OFFER, {"kind": kind, "claims": {}}),
+                             holder_did)
+        assert (reply.type, reply.body) == (MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
     assert len(child.sessions) == 0
-
-
-def test_protocol_request_must_match_offer(domain):
-    registry, root, child = domain
-    holder_keys, holder_did, bootstrap = enrolled_holder(child)
-
-    offer = ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}})
-    reply = child.handle(offer, holder_did)
-    vp = build_presentation(holder_keys, holder_did, [bootstrap],
-                            b64u_decode(reply.body["challenge"]))
-    child.handle(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
-                                 thread_id=offer.thread_id), holder_did)
-    switcheroo = ProtocolMessage(MSG_REQUEST, {"kind": KIND_AUTHZ, "claims": {}},
-                                 thread_id=offer.thread_id)
-    reply = child.handle(switcheroo, holder_did)
-    assert reply.body["reason"] == "request_differs_from_offer"
+    # a well-formed offer opens a session
+    reply = child.handle(ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}}),
+                         holder_did)
+    assert reply.type == MSG_PRESENT_REQUEST
+    assert len(child.sessions) == 1
 
 
 # --- config loading ----------------------------------------------------------------

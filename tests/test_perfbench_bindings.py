@@ -40,5 +40,5 @@ def test_per_instance_bindings_still_exist():
         assert callable(vars(sidecar)["_local_http"].request)  # the local-NF hop span
     finally:
         sidecar.shutdown()
-    # the load generator reads it to tell a warm pass from a cold one
-    assert Association(peer="p", direction="outbound").established is False
+    # the load generator reads it to tell a warm pair (one with a record) from a cold one
+    assert Association(peer="p", direction="outbound").established is True

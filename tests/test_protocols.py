@@ -23,7 +23,6 @@ from sbacl.envelope import (
     MSG_OFFER,
     MSG_PRESENT_REQUEST,
     MSG_PRESENTATION,
-    MSG_REQUEST,
     ProtocolMessage,
 )
 from sbacl.errors import (
@@ -36,7 +35,7 @@ from sbacl.identity import Resolver
 from sbacl.protocols import (
     HandshakeProfile,
     HandshakeResponder,
-    HandshakeSession,
+    Session,
     SessionStore,
     producer_authz_gate,
     run_handshake,
@@ -49,43 +48,48 @@ RESOLVER = Resolver()
 
 
 class DirectChannel:
-    """Routes requests straight into a responder's handle method."""
+    """Routes requests straight into a responder's handle method, and
+    keeps every message it carried."""
 
     def __init__(self, handler, sender_did):
         self.handler = handler
         self.sender = sender_did
+        self.sent = []
 
     def request(self, msg):
+        self.sent.append(msg)
         return self.handler(msg, self.sender)
 
 
 # --- session store ---------------------------------------------------------------
 
 
-def _fresh_session():
-    return HandshakeSession(thread_id="t", peer="p")
+def _fresh_session(thread_id="t"):
+    return Session(thread_id=thread_id, peer="p", challenge=fresh_challenge())
 
 
 def test_session_store_reaps_idle_sessions():
     store = SessionStore(timeout=5.0)
     stale = _fresh_session()
     stale.updated_at = time.time() - 60
-    fresh = HandshakeSession(thread_id="t2", peer="p")
+    fresh = _fresh_session("t2")
     store.put(stale)
     store.put(fresh)
 
     reaped = store.reap()
     assert [s.thread_id for s in reaped] == ["t"]
-    assert store.get("t") is None
-    assert store.get("t2") is fresh
+    assert store.take("t", "p") is None
+    assert store.take("t2", "somebody else") is None  # not theirs to end
+    assert store.take("t2", "p") is fresh
+    assert len(store) == 0
 
 
-def test_get_triggers_reaping():
+def test_take_triggers_reaping():
     store = SessionStore(timeout=1.0)
     stale = _fresh_session()
     stale.updated_at = time.time() - 30
     store.put(stale)
-    assert store.get("t") is None
+    assert store.take("t", "p") is None
     assert len(store) == 0
 
 
@@ -102,9 +106,11 @@ class MiniIssuer:
         self.deny_at = deny_at
         self.misbehave = misbehave
         self.challenge = None
-        self.subject = None
+        self.offer = None
+        self.sent = []
 
     def request(self, msg):
+        self.sent.append(msg)
         if msg.type == MSG_OFFER:
             if self.misbehave == "ack_the_offer":
                 return msg.reply(MSG_ACK, {})
@@ -113,6 +119,7 @@ class MiniIssuer:
             if self.misbehave == "no_challenge":
                 return msg.reply(MSG_PRESENT_REQUEST, {"kinds": [KIND_AUTHN]})
             self.challenge = fresh_challenge()
+            self.offer = msg.body
             return msg.reply(MSG_PRESENT_REQUEST, {
                 "challenge": b64u_encode(self.challenge), "kinds": [KIND_AUTHN],
             })
@@ -121,16 +128,13 @@ class MiniIssuer:
             verdict = verify_presentation(vp, self.challenge, self.trust, RESOLVER)
             if self.deny_at == "presentation" or not verdict.ok:
                 return msg.reply(MSG_DENY, {"failures": verdict.failures or ["denied"]})
-            self.subject = vp.holder
-            return msg.reply(MSG_ACK, {})
-        if msg.type == MSG_REQUEST:
-            if self.deny_at == "request":
+            if self.deny_at == "policy":
                 return msg.reply(MSG_DENY, {"reason": "policy"})
-            subject = self.subject
+            subject = vp.holder
             if self.misbehave == "wrong_subject":
                 _, subject = peer_identity()
-            vc = issue_credential(self.keys, self.did, msg.body["kind"], subject,
-                                  msg.body["claims"])
+            vc = issue_credential(self.keys, self.did, self.offer["kind"], subject,
+                                  self.offer["claims"])
             if self.misbehave == "garbled_credential":
                 return msg.reply(MSG_ISSUE, {"credential": "not a credential"})
             return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})
@@ -154,6 +158,7 @@ def test_issuance_happy_path(issuance_world):
     assert vc.kind == KIND_AUTHZ
     assert vc.subject == holder_did
     assert vc.claims["producer"] == "UDM"
+    assert [m.type for m in issuer.sent] == [MSG_OFFER, MSG_PRESENTATION]
 
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
@@ -193,8 +198,10 @@ def test_issuance_untrusted_bootstrap_is_denied(issuance_world):
 
 
 def test_issuance_denied_at_request(issuance_world):
+    # the presentation carries the request for the offered credential: the
+    # issuer can still refuse it once the holder is identified
     root_keys, root_did, holder_keys, holder_did, bootstrap = issuance_world
-    issuer = MiniIssuer(root_keys, root_did, root_did, deny_at="request")
+    issuer = MiniIssuer(root_keys, root_did, root_did, deny_at="policy")
     with pytest.raises(PolicyDeniedError):
         run_issuance(issuer, holder_keys, holder_did, [bootstrap], KIND_AUTHN, {})
 
@@ -238,7 +245,7 @@ class HandshakeWorld:
             self.root_keys, self.root_did, KIND_AUTHZ, self.cons_did,
             {"producer": authz_producer, "service": "nudm-sdm", "ops": "GET"},
         )
-        self.established = []
+        self.established = []  # (peer, authz_claims) per established handshake
         self.responder = HandshakeResponder(
             HandshakeProfile(
                 trust=trust, resolver=RESOLVER,
@@ -246,7 +253,7 @@ class HandshakeWorld:
                     self.prod_keys, self.prod_did, [self.prod_authn], ch),
                 authz_gate=producer_authz_gate(producer_nf),
             ),
-            on_established=self.established.append,
+            on_established=lambda peer, claims: self.established.append((peer, claims)),
         )
         self.initiator_profile = HandshakeProfile(
             trust=trust, resolver=RESOLVER,
@@ -258,17 +265,34 @@ class HandshakeWorld:
     def run(self):
         return run_handshake(self.channel, self.initiator_profile, self.prod_did)
 
+    def open_thread(self):
+        """Send the consumer's opening message; returns the producer's reply."""
+        return self.responder.handle(ProtocolMessage(
+            MSG_PRESENT_REQUEST,
+            {"challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]},
+        ), self.cons_did)
+
+    def presentation(self, reply, creds=None):
+        """The consumer's answer to the challenge in the producer's `reply`."""
+        vp = build_presentation(self.cons_keys, self.cons_did,
+                                creds or [self.cons_authn, self.cons_authz],
+                                b64u_decode(reply.body["challenge"]))
+        return reply.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()})
+
+
+def _shows_no_authz(messages) -> bool:
+    """No message carries a presentation, so none carries an AuthZ credential."""
+    return not any("presentation" in m.body for m in messages)
+
 
 def test_handshake_establishes_both_views():
     world = HandshakeWorld()
     assert world.run() == [{"nf_type": "UDM"}]
 
-    assert len(world.established) == 1
-    responder_session = world.established[0]
-    assert responder_session.peer == world.cons_did
-    assert responder_session.authn_claims == [{"nf_type": "AMF"}]
-    assert responder_session.authz_claims == [
-        {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}]
+    assert world.established == [
+        (world.cons_did, [{"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}])]
+    # two exchanges: the producer's challenge rides on its identity presentation
+    assert [m.type for m in world.channel.sent] == [MSG_PRESENT_REQUEST, MSG_PRESENTATION]
     # nothing half-open left behind
     assert len(world.responder.sessions) == 0
 
@@ -285,6 +309,10 @@ def test_handshake_rejects_untrusted_producer():
     assert err.value.reason == "peer_identification_failed"
     assert "chain_untrusted" in err.value.detail
     assert world.established == []
+    # the consumer denied the unverified producer without showing its credentials
+    assert [m.type for m in world.channel.sent] == [MSG_PRESENT_REQUEST, MSG_DENY]
+    assert _shows_no_authz(world.channel.sent)
+    assert len(world.responder.sessions) == 0
 
 
 def test_handshake_producer_with_empty_wallet():
@@ -339,34 +367,33 @@ def test_handshake_replayed_presentation_is_pinned_to_peer():
 
 def test_handshake_unknown_thread_and_wrong_sender():
     world = HandshakeWorld()
-    orphan = ProtocolMessage(MSG_ACK, {}, thread_id="nope")
+    orphan = ProtocolMessage(MSG_PRESENTATION, {"presentation": {}}, thread_id="nope")
     reply = world.responder.handle(orphan, world.cons_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "unknown_thread"
 
     # open a real session, then continue it claiming a different sender
-    opener = ProtocolMessage(MSG_PRESENT_REQUEST,
-                             {"challenge": b64u_encode(fresh_challenge()),
-                              "kinds": [KIND_AUTHN]})
-    world.responder.handle(opener, world.cons_did)
-    hijack = ProtocolMessage(MSG_ACK, {}, thread_id=opener.thread_id)
+    hijack = world.presentation(world.open_thread())
     reply = world.responder.handle(hijack, "did:speer:somebodyelse")
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "unknown_thread"
+    # the owner's session is untouched and still completes
+    assert world.responder.handle(hijack, world.cons_did).type == MSG_ACK
+    assert [peer for peer, _ in world.established] == [world.cons_did]
 
 
 def test_handshake_out_of_phase_message_fails_session():
     world = HandshakeWorld()
-    opener = ProtocolMessage(MSG_PRESENT_REQUEST,
-                             {"challenge": b64u_encode(fresh_challenge()),
-                              "kinds": [KIND_AUTHN]})
-    world.responder.handle(opener, world.cons_did)
-    premature = ProtocolMessage(MSG_PRESENTATION, {"presentation": {}},
-                                thread_id=opener.thread_id)
-    reply = world.responder.handle(premature, world.cons_did)
+    opened = world.open_thread()
+    stray = ProtocolMessage(MSG_ACK, {}, thread_id=opened.thread_id)
+    reply = world.responder.handle(stray, world.cons_did)
     assert reply.type == MSG_DENY
     assert "unexpected" in reply.body["reason"]
     assert len(world.responder.sessions) == 0
+    # the dropped thread cannot be finished afterwards
+    reply = world.responder.handle(world.presentation(opened), world.cons_did)
+    assert reply.body["reason"] == "unknown_thread"
+    assert world.established == []
 
 
 def test_handshake_identify_without_challenge_is_denied():
@@ -381,14 +408,9 @@ def test_handshake_identify_without_challenge_is_denied():
 
 def test_handshake_authorization_without_presentation_is_denied():
     world = HandshakeWorld()
-    opener = ProtocolMessage(MSG_PRESENT_REQUEST,
-                             {"challenge": b64u_encode(fresh_challenge()),
-                              "kinds": [KIND_AUTHN]})
-    world.responder.handle(opener, world.cons_did)
-    world.responder.handle(ProtocolMessage(MSG_ACK, {}, thread_id=opener.thread_id),
-                           world.cons_did)
+    opened = world.open_thread()
     reply = world.responder.handle(
-        ProtocolMessage(MSG_PRESENTATION, {"presentation": "junk"}, thread_id=opener.thread_id),
+        ProtocolMessage(MSG_PRESENTATION, {"presentation": "junk"}, thread_id=opened.thread_id),
         world.cons_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "malformed_message"
@@ -398,7 +420,7 @@ def test_handshake_authorization_without_presentation_is_denied():
 
 @pytest.mark.parametrize("reply_type,dropped", [
     (MSG_PRESENT_REQUEST, "presentation"),
-    (MSG_ACK, "challenge"),
+    (MSG_PRESENT_REQUEST, "challenge"),
 ])
 def test_handshake_malformed_producer_reply_is_rejected(reply_type, dropped):
     world = HandshakeWorld()
@@ -414,20 +436,18 @@ def test_handshake_malformed_producer_reply_is_rejected(reply_type, dropped):
         world.run()
     assert err.value.reason == "malformed_reply"
     assert world.established == []
+    assert _shows_no_authz(world.channel.sent)
 
 
 def test_handshake_half_open_sessions_time_out():
     world = HandshakeWorld()
-    opener = ProtocolMessage(MSG_PRESENT_REQUEST,
-                             {"challenge": b64u_encode(fresh_challenge()),
-                              "kinds": [KIND_AUTHN]})
-    world.responder.handle(opener, world.cons_did)
-    session = world.responder.sessions.get(opener.thread_id)
-    session.updated_at = time.time() - 3600
-    follow_up = ProtocolMessage(MSG_ACK, {}, thread_id=opener.thread_id)
-    reply = world.responder.handle(follow_up, world.cons_did)
+    opened = world.open_thread()
+    reaped = world.responder.sessions.reap(now=time.time() + 3600)
+    assert [s.thread_id for s in reaped] == [opened.thread_id]
+    reply = world.responder.handle(world.presentation(opened), world.cons_did)
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "unknown_thread"
+    assert world.established == []
 
 
 # --- the responder under arbitrary message orders ----------------------------------
@@ -437,8 +457,8 @@ class ResponderMachine(RuleBasedStateMachine):
     """Drives one `HandshakeResponder` from two credentialed consumers.
 
     The model keeps, per thread still open, its owner and the challenge the
-    responder issued at the ACK (None before it); every other message from
-    the owner ends the thread, and a message from anyone else changes nothing.
+    responder issued when it opened; every message from the owner ends the
+    thread, and a message from anyone else changes nothing.
     """
 
     threads = Bundle("threads")
@@ -457,9 +477,9 @@ class ResponderMachine(RuleBasedStateMachine):
                                  {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}),
             ]),
         }
-        self.open: dict[str, tuple[str, bytes | None]] = {}
+        self.open: dict[str, tuple[str, bytes]] = {}
         self.sent: list[tuple[bytes, dict]] = []  # (challenge, presentation), for replays
-        self.verified: list[tuple[str, str]] = []
+        self.verified: list[str] = []  # the sender of each presentation that was ACKed
 
     @initialize(target=threads)
     def open_first_thread(self):
@@ -473,20 +493,17 @@ class ResponderMachine(RuleBasedStateMachine):
             {"challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]},
         ), sender)
         assert reply.type == MSG_PRESENTATION
-        self.open[reply.thread_id] = (sender, None)
+        self.open[reply.thread_id] = (sender, b64u_decode(reply.body["challenge"]))
         return reply.thread_id
 
     # Hypothesis tends to draw the same choice many times in a row, so one
-    # rule covers every continuation, and "in_phase" (the ACK, then a
-    # presentation) lets such a run reach the presentation check.
+    # rule covers every continuation.
     @rule(thread=threads, sender=st.sampled_from([0, 1]), what=st.sampled_from(
-        ["in_phase", MSG_ACK, MSG_DENY, MSG_OFFER, MSG_REQUEST, MSG_ISSUE, MSG_PRESENTATION]),
+        [MSG_PRESENTATION, MSG_ACK, MSG_DENY, MSG_OFFER, MSG_ISSUE]),
         kind=st.sampled_from(["valid", "replayed", "other_holder", "junk"]))
     def send(self, thread, sender, what, kind):
         sender = sorted(self.wallets)[sender]
         owner, challenge = self.open.get(thread, (None, None))
-        if what == "in_phase":
-            what = MSG_ACK if challenge is None else MSG_PRESENTATION
         body = {}
         if what == MSG_PRESENTATION:
             body = {"presentation": self._presentation(kind, sender, challenge)}
@@ -494,16 +511,13 @@ class ResponderMachine(RuleBasedStateMachine):
                                             sender)
         if owner != sender:
             assert reply.type == MSG_DENY and reply.body == {"reason": "unknown_thread"}
-        elif what == MSG_ACK and challenge is None:
-            assert reply.type == MSG_PRESENT_REQUEST
-            self.open[thread] = (sender, b64u_decode(reply.body["challenge"]))
+            return
+        del self.open[thread]
+        if what == MSG_PRESENTATION and kind == "valid":
+            assert reply.type == MSG_ACK
+            self.verified.append(sender)
         else:
-            del self.open[thread]
-            if what == MSG_PRESENTATION and kind == "valid" and challenge is not None:
-                assert reply.type == MSG_ACK
-                self.verified.append((thread, sender))
-            else:
-                assert reply.type == (MSG_ACK if what == MSG_DENY else MSG_DENY)
+            assert reply.type == (MSG_ACK if what == MSG_DENY else MSG_DENY)
 
     def _presentation(self, kind, sender, challenge):
         if kind == "junk":
@@ -519,7 +533,7 @@ class ResponderMachine(RuleBasedStateMachine):
 
     @invariant()
     def established_only_on_verified_presentations(self):
-        assert [(s.thread_id, s.peer) for s in self.world.established] == self.verified
+        assert [peer for peer, _ in self.world.established] == self.verified
 
     @invariant()
     def one_session_per_open_thread(self):

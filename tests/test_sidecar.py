@@ -125,10 +125,8 @@ def test_handshake_happens_once(world):
         assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     assert world.consumer.handshakes_initiated == 1
 
-    outbound = world.consumer.associations[(world.producer.did, "outbound")]
-    assert outbound.established
+    assert (world.producer.did, "outbound") in world.consumer.associations
     inbound = world.producer.associations[(world.consumer.did, "inbound")]
-    assert inbound.established
     assert {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"} in inbound.authz_claims
 
 
@@ -481,20 +479,53 @@ def test_oversized_intercepted_body_is_refused(world):
     assert world.producer_nf.request_count() == 0
 
 
-def test_oversized_envelope_is_refused_unread(world):
-    host, port = world.producer.peer_server.host, world.producer.peer_server.port
-    with socket.create_connection((host, port), timeout=1.0) as sock:
-        started = time.monotonic()
-        sock.sendall(f"POST /envelope HTTP/1.1\r\nHost: {host}\r\n"
-                     f"Content-Length: {MAX_FRAME + 1}\r\n\r\n".encode())
+def _post_headers_only(server, content_length) -> tuple[bytes, bytes]:
+    """POST a bare head declaring `content_length` and send no body; returns
+    the answer's head and body once the server has closed the connection."""
+    with socket.create_connection((server.host, server.port), timeout=1.0) as sock:
+        sock.sendall(f"POST /envelope HTTP/1.1\r\nHost: {server.host}\r\n"
+                     f"Content-Length: {content_length}\r\n\r\n".encode())
         answer = b""
         while chunk := sock.recv(4096):  # the server closes after answering
             answer += chunk
-    assert time.monotonic() - started < 1.0
     head, _, body = answer.partition(b"\r\n\r\n")
+    return head, body
+
+
+def test_oversized_envelope_is_refused_unread(world):
+    started = time.monotonic()
+    head, body = _post_headers_only(world.producer.peer_server, MAX_FRAME + 1)
+    assert time.monotonic() - started < 1.0
     assert head.startswith(b"HTTP/1.1 413")
     assert json.loads(body) == {"error": "frame_too_large"}
     assert world.producer_nf.request_count() == 0
+
+
+@pytest.mark.parametrize("listener", ["peer_server", "intercept_server"])
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_unparseable_content_length_is_refused(world, listener, content_length):
+    head, body = _post_headers_only(getattr(world.producer, listener), content_length)
+    assert head.startswith(b"HTTP/1.1 400")
+    assert b"\r\nconnection: close" in head.lower()
+    assert json.loads(body) == {"error": "bad_content_length"}
+    assert world.producer_nf.request_count() == 0
+
+
+class _HugeReplyHandler(QuietHandler):
+    def do_GET(self):
+        self.send_bytes(200, bytes(MAX_FRAME + 1))
+
+
+def test_reply_over_the_frame_limit_is_refused_without_a_traceback(world, caplog):
+    huge = HttpService(_HugeReplyHandler).start()
+    world.started.append(huge.stop)
+    world.producer.local_nf_url = huge.base_url
+    with caplog.at_level(logging.WARNING, logger="sbacl"):
+        resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert resp.status_code == 502
+    assert resp.json() == {"error": "tunnel_failed",
+                           "detail": "peer returned HTTP 502: response_too_large"}
+    assert [r.exc_info for r in caplog.records] == [None] * len(caplog.records)
 
 
 # --- association store -------------------------------------------------------------
@@ -503,21 +534,34 @@ def test_oversized_envelope_is_refused_unread(world):
 def test_association_store_last_record_wins(tmp_path):
     path = tmp_path / "assoc.jsonl"
     store = AssociationStore(path)
-    first = Association(peer="did:speer:p", direction="outbound", established=True)
-    second = Association(peer="did:speer:p", direction="outbound", established=False)
-    other = Association(peer="did:speer:q", direction="inbound", established=True,
+    first = Association(peer="did:speer:p", direction="outbound",
+                        authz_claims=[{"producer": "AUSF"}])
+    second = Association(peer="did:speer:p", direction="outbound",
+                         authz_claims=[{"producer": "PCF"}])
+    other = Association(peer="did:speer:q", direction="inbound",
                         authz_claims=[{"producer": "UDM"}])
     for assoc in (first, second, other):
         store.append(assoc)
 
     loaded = AssociationStore(path).load()
-    assert loaded[("did:speer:p", "outbound")].established is False
+    assert loaded[("did:speer:p", "outbound")].authz_claims == [{"producer": "PCF"}]
     assert loaded[("did:speer:q", "inbound")].authz_claims == [{"producer": "UDM"}]
+
+
+def test_association_store_loads_records_that_carry_established(tmp_path):
+    path = tmp_path / "assoc.jsonl"
+    path.write_text(json.dumps({"peer": "did:speer:p", "direction": "inbound",
+                                "established": True, "authz_claims": [{"producer": "UDM"}],
+                                "created_at": 1}) + "\n")
+    loaded = AssociationStore(path).load()
+    assert loaded == {("did:speer:p", "inbound"): Association(
+        peer="did:speer:p", direction="inbound", authz_claims=[{"producer": "UDM"}],
+        created_at=1)}
 
 
 def test_association_store_corruption_degrades_to_empty(tmp_path):
     path = tmp_path / "assoc.jsonl"
-    good = Association(peer="did:speer:p", direction="outbound", established=True)
+    good = Association(peer="did:speer:p", direction="outbound")
     AssociationStore(path).append(good)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{this is not json\n")
@@ -528,7 +572,7 @@ def test_association_store_drops_only_a_torn_last_record(tmp_path):
     path = tmp_path / "assoc.jsonl"
     store = AssociationStore(path)
     for peer in ("did:speer:p", "did:speer:q", "did:speer:r"):
-        store.append(Association(peer=peer, direction="outbound", established=True))
+        store.append(Association(peer=peer, direction="outbound"))
     path.write_bytes(path.read_bytes()[:-40])  # a crash in the middle of the last append
     loaded = AssociationStore(path).load()
     assert set(loaded) == {("did:speer:p", "outbound"), ("did:speer:q", "outbound")}
