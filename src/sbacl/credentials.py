@@ -20,6 +20,7 @@ unreachable, revocation check impossible) raise, because treating those as
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import uuid
@@ -58,6 +59,9 @@ CHALLENGE_SIZE = 32
 
 # Seconds past `expires_at` a credential is still accepted, for clock drift.
 CLOCK_SKEW_TOLERANCE = 30
+
+# Credential and delegation-link signatures remembered per process.
+VERIFIED_PROOFS_CACHED = 1024
 
 FAIL_BAD_VC_SIGNATURE = "bad_vc_signature"
 FAIL_BAD_VP_SIGNATURE = "bad_vp_signature"
@@ -363,6 +367,24 @@ def _resolved_signing_key(resolver, did_str: str) -> bytes | None:
         return None
 
 
+@functools.lru_cache(maxsize=VERIFIED_PROOFS_CACHED)
+def _verified(key: bytes, proof: bytes, signed: bytes) -> bool:
+    return crypto.ed25519_verify(key, proof, signed)
+
+
+def _credential_proof_verifies(resolver, vc: VerifiableCredential) -> bool:
+    """Whether the issuer's currently resolved key signed this credential.
+
+    The answer is remembered on the exact (key, proof, signed bytes) triple,
+    so a credential presented again costs no Ed25519 verify, while a rotated
+    issuer key or a changed claim is a different triple and is verified
+    afresh."""
+    key = _resolved_signing_key(resolver, vc.issuer)
+    return key is not None and vc.proof is not None and _verified(
+        key, vc.proof, vc.signing_bytes()
+    )
+
+
 def verify_delegation_chain(
     vc: VerifiableCredential,
     trusted_roots: frozenset[str],
@@ -402,10 +424,7 @@ def verify_delegation_chain(
         if link.subject != expected_subject:
             failures.append(FAIL_CHAIN_BROKEN)
             break
-        key = _resolved_signing_key(resolver, link.issuer)
-        if key is None or link.proof is None or not crypto.ed25519_verify(
-            key, link.proof, link.signing_bytes()
-        ):
+        if not _credential_proof_verifies(resolver, link):
             failures.append(FAIL_CHAIN_BROKEN)
             break
         if prev_rights is not None and not rights <= prev_rights:
@@ -421,6 +440,31 @@ def verify_delegation_chain(
     return failures
 
 
+def _revocation_statuses(creds, resolver) -> dict[tuple[str, str], str]:
+    """Status of every revocation entry among `creds`, keyed by the entry,
+    from one `check_status` read per revocation registry."""
+    wanted: dict[str, dict[str, None]] = {}
+    for vc in creds:
+        if vc.revocation is not None:
+            if resolver.registry_client is None:
+                raise RevocationCheckError(
+                    f"credential {vc.credential_id} needs a revocation check, "
+                    "but the resolver has no registry client"
+                )
+            registry_id, credential_id = vc.revocation
+            wanted.setdefault(registry_id, {})[credential_id] = None
+    statuses = {}
+    for registry_id, credential_ids in wanted.items():
+        answered = resolver.registry_client.check_status(registry_id, list(credential_ids))
+        for credential_id in credential_ids:
+            if credential_id not in answered:
+                raise RevocationCheckError(
+                    f"registry {registry_id} gave no status for credential {credential_id}"
+                )
+            statuses[registry_id, credential_id] = answered[credential_id]
+    return statuses
+
+
 def verify_presentation(
     vp: VerifiablePresentation,
     expected_challenge: bytes,
@@ -432,10 +476,10 @@ def verify_presentation(
     """Full presentation verification; returns a Verdict, raises only on
     infrastructure faults (registry unreachable, revocation unavailable).
 
-    Revocation status is read through `resolver.registry_client` for every
-    credential that carries a revocation entry. With `expected_holder`, a
-    presentation that passes every other check but was made by someone
-    else fails as subject_mismatch."""
+    Revocation status is read fresh through `resolver.registry_client`,
+    once per revocation registry that the presented credentials name. With
+    `expected_holder`, a presentation that passes every other check but was
+    made by someone else fails as subject_mismatch."""
     now = int(time.time()) if now is None else int(now)
     failures: list[str] = []
 
@@ -448,27 +492,19 @@ def verify_presentation(
     if vp.challenge != expected_challenge:
         failures.append(FAIL_CHALLENGE_MISMATCH)
 
+    statuses = _revocation_statuses(vp.credentials, resolver)
     for vc in vp.credentials:
         if vc.subject != vp.holder:
             failures.append(FAIL_SUBJECT_MISMATCH)
 
-        issuer_key = _resolved_signing_key(resolver, vc.issuer)
-        if issuer_key is None or vc.proof is None or not crypto.ed25519_verify(
-            issuer_key, vc.proof, vc.signing_bytes()
-        ):
+        if not _credential_proof_verifies(resolver, vc):
             failures.append(FAIL_BAD_VC_SIGNATURE)
 
         if vc.expires_at is not None and now > vc.expires_at + CLOCK_SKEW_TOLERANCE:
             failures.append(FAIL_EXPIRED)
 
-        if vc.revocation is not None:
-            if resolver.registry_client is None:
-                raise RevocationCheckError(
-                    f"credential {vc.credential_id} needs a revocation check, "
-                    "but the resolver has no registry client"
-                )
-            if resolver.registry_client.check_status(*vc.revocation) == "revoked":
-                failures.append(FAIL_REVOKED)
+        if vc.revocation is not None and statuses[vc.revocation] == "revoked":
+            failures.append(FAIL_REVOKED)
 
         failures.extend(verify_delegation_chain(vc, policy.trusted_roots, resolver))
 

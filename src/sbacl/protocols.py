@@ -80,7 +80,9 @@ class Session:
 
 
 class SessionStore:
-    """Thread-safe session map with timeout reaping."""
+    """Thread-safe session map. Every `put` and `take` first evicts the
+    sessions idle past the timeout, so threads that peers open and never
+    continue cannot grow it without bound."""
 
     def __init__(self, timeout: float = DEFAULT_SESSION_TIMEOUT):
         self.timeout = timeout
@@ -88,6 +90,7 @@ class SessionStore:
         self._lock = threading.Lock()
 
     def put(self, session: Session) -> None:
+        self.reap()
         with self._lock:
             self._sessions[session.thread_id] = session
 

@@ -202,9 +202,10 @@ class Registry:
                 "signature": b64u_encode(signature),
             })
 
-    def check_status(self, registry_id: str, credential_id: str) -> str:
+    def check_status(self, registry_id: str, credential_ids) -> dict[str, str]:
+        """`{credential_id: "active" | "revoked"}` for each id, in one read."""
         with self._lock:
             reg = self._revregs.get(registry_id)
             if reg is None:
                 raise RegistryError("unknown_registry", f"no revocation registry {registry_id}")
-            return "revoked" if credential_id in reg.revoked else "active"
+            return {cid: "revoked" if cid in reg.revoked else "active" for cid in credential_ids}

@@ -69,10 +69,12 @@ def _make_handler(registry: Registry):
                 body = json.loads(self.read_body())
                 registry.revoke(parts[1], body["credentialId"], b64u_decode(body["signature"]))
                 self.send_json(200, {"ok": True})
-            elif method == "GET" and len(parts) == 4 \
+            elif method == "POST" and len(parts) == 3 \
                     and parts[0] == "revocation-registries" and parts[2] == "status":
-                status = registry.check_status(parts[1], parts[3])
-                self.send_json(200, {"status": status})
+                ids = json.loads(self.read_body())["credentialIds"]
+                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                    raise ValueError("credentialIds must be a list of strings")
+                self.send_json(200, {"statuses": registry.check_status(parts[1], ids)})
             else:
                 self.send_json(404, {"error": "not_found", "message": self.path})
 
@@ -145,6 +147,7 @@ class RegistryHttpClient:
             "signature": b64u_encode(signature),
         })
 
-    def check_status(self, registry_id: str, credential_id: str) -> str:
-        body = self._request("GET", f"/revocation-registries/{registry_id}/status/{credential_id}")
-        return body["status"]
+    def check_status(self, registry_id: str, credential_ids) -> dict[str, str]:
+        body = self._request("POST", f"/revocation-registries/{registry_id}/status",
+                             {"credentialIds": list(credential_ids)})
+        return body["statuses"]

@@ -151,7 +151,8 @@ def test_revoke_flips_registry_status(registry_http, tmp_path):
     root.bootstrap(serve=False)
     _, holder_did = peer_identity()
     vc = root.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
-    assert client.check_status(root.revocation_registry_id, vc.credential_id) == "active"
+    ids = [vc.credential_id]
+    assert client.check_status(root.revocation_registry_id, ids) == {vc.credential_id: "active"}
 
     config = write_json(tmp_path / "root.json", {
         "name": "root",
@@ -164,7 +165,7 @@ def test_revoke_flips_registry_status(registry_http, tmp_path):
                     "--credential", vc.credential_id)
     assert result.exit_code == 0, result.output
     assert f"revoked {vc.credential_id}" in result.output
-    assert client.check_status(root.revocation_registry_id, vc.credential_id) == "revoked"
+    assert client.check_status(root.revocation_registry_id, ids) == {vc.credential_id: "revoked"}
 
     stranger = invoke(ipmf, "revoke", "--config", config,
                       "--registry-id", root.revocation_registry_id,

@@ -27,6 +27,7 @@ from sbacl.errors import (
     RevocationCheckError,
 )
 from sbacl.identity import Resolver
+from sbacl.vdr import Registry
 
 from conftest import build_hierarchy, issue_to_holder, peer_identity
 
@@ -392,3 +393,223 @@ def test_rights_subset_property(data):
         holder_keys, holder_did = peer_identity()
         with pytest.raises(IssuanceError):
             issue_to_holder(keys, did, chain, holder_did)
+
+
+# -- remembered signatures: a hit answers exactly what a fresh verify would -------------
+
+
+def warm(vp, challenge, roots):
+    """Verify once so every credential and link signature is remembered."""
+    assert verify(vp, challenge, roots).ok
+
+
+def test_claims_changed_after_a_warm_verify_still_fail():
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(1)
+    holder_keys, holder_did = peer_identity()
+    vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
+    challenge = fresh_challenge()
+    warm(build_presentation(holder_keys, holder_did, [vc], challenge), challenge, [root_did])
+
+    forged = dataclasses.replace(vc, claims={"nf_type": "SMF"})
+    challenge = fresh_challenge()
+    vp = build_presentation(holder_keys, holder_did, [forged], challenge)
+    assert verify(vp, challenge, [root_did]).failures == ["bad_vc_signature"]
+
+
+def test_widened_link_after_a_warm_verify_still_breaks_the_chain():
+    from sbacl.crypto import ed25519_sign
+
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(
+        2, rights_per_level=[("issue_authn", "delegate"), ("issue_authn",)]
+    )
+    holder_keys, holder_did = peer_identity()
+    vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
+    challenge = fresh_challenge()
+    warm(build_presentation(holder_keys, holder_did, [vc], challenge), challenge, [root_did])
+
+    widened = dataclasses.replace(chain[1], claims={"rights": "issue_authn,issue_authz"})
+    tampered = dataclasses.replace(vc, delegation_chain=[chain[0], widened])
+    # the issuer re-signs over the widened chain, so only the link is at fault
+    tampered.proof = ed25519_sign(issuer_keys.signing_secret, tampered.signing_bytes())
+    challenge = fresh_challenge()
+    vp = build_presentation(holder_keys, holder_did, [tampered], challenge)
+    assert verify(vp, challenge, [root_did]).failures == ["chain_broken"]
+
+
+def test_rotated_issuer_key_fails_an_old_credential_after_a_warm_verify(registry):
+    from sbacl.identity import (create_registry_did, generate_keypair, rotate_document,
+                                self_sign_document)
+
+    issuer_keys = generate_keypair()
+    issuer_did, doc = create_registry_did(issuer_keys)
+    registry.register(self_sign_document(doc, issuer_keys))
+    resolver = Resolver(registry)
+    policy = TrustPolicy.trusting(issuer_did)
+    holder_keys, holder_did = peer_identity()
+    old = issue_credential(issuer_keys, issuer_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
+
+    def present(vc):
+        challenge = fresh_challenge()
+        vp = build_presentation(holder_keys, holder_did, [vc], challenge)
+        return verify_presentation(vp, challenge, policy, resolver)
+
+    assert present(old).ok
+    new_keys = generate_keypair()
+    registry.update(rotate_document(doc, new_keys, issuer_keys.signing_secret))
+    resolver.refresh(issuer_did)
+
+    assert present(old).failures == ["bad_vc_signature"]
+    fresh = issue_credential(new_keys, issuer_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
+    assert present(fresh).ok
+
+
+def test_a_warm_presentation_costs_one_ed25519_verify(monkeypatch):
+    from sbacl import crypto
+
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(2)
+    holder_keys, holder_did = peer_identity()
+    creds = [
+        issue_to_holder(issuer_keys, issuer_did, chain, holder_did),
+        issue_to_holder(issuer_keys, issuer_did, chain, holder_did, kind=KIND_AUTHZ,
+                        claims={"producer": "UDM", "service": "*", "ops": "*"}),
+    ]
+    calls = []
+    original = crypto.ed25519_verify
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(crypto, "ed25519_verify", counting)
+
+    def present():
+        challenge = fresh_challenge()
+        vp = build_presentation(holder_keys, holder_did, creds, challenge)
+        calls.clear()
+        assert verify(vp, challenge, [root_did]).ok
+        return len(calls)
+
+    # cold: the presentation, both credentials, and the two links they share
+    assert present() == 1 + 2 + 2
+    # warm, under a new challenge: only the presentation's own signature
+    assert present() == 1
+
+
+# -- revocation: one fresh status read per registry per presentation ------------------
+
+
+class CountingRegistry(Registry):
+    def __init__(self):
+        super().__init__()
+        self.status_reads = []
+
+    def check_status(self, registry_id, credential_ids):
+        self.status_reads.append((registry_id, list(credential_ids)))
+        return super().check_status(registry_id, credential_ids)
+
+
+def revocable_issuer(registry, nonce=b"c" * 16):
+    """A peer-DID issuer with its own revocation registry: (keys, did, registry id)."""
+    from sbacl.crypto import ed25519_sign
+    from sbacl.vdr import revocation_request_bytes
+
+    keys, did = peer_identity()
+    signature = ed25519_sign(keys.signing_secret, revocation_request_bytes(did, nonce))
+    return keys, did, registry.create_revocation_registry(did, nonce, signature)
+
+
+def revoke(registry, issuer_keys, vc):
+    from sbacl.crypto import ed25519_sign
+    from sbacl.vdr import revoke_request_bytes
+
+    registry_id, credential_id = vc.revocation
+    registry.revoke(registry_id, credential_id, ed25519_sign(
+        issuer_keys.signing_secret, revoke_request_bytes(registry_id, credential_id)))
+
+
+def authn_and_three_authz(issuer, holder_did):
+    keys, did, registry_id = issuer
+    return [issue_credential(keys, did, KIND_AUTHN, holder_did, {"nf_type": "AMF"},
+                             revocation_registry_id=registry_id)] + [
+        issue_credential(keys, did, KIND_AUTHZ, holder_did,
+                         {"producer": producer, "service": "*", "ops": "*"},
+                         revocation_registry_id=registry_id)
+        for producer in ("UDM", "AUSF", "PCF")
+    ]
+
+
+def present_to(registry, holder, creds, roots):
+    holder_keys, holder_did = holder
+    challenge = fresh_challenge()
+    vp = build_presentation(holder_keys, holder_did, creds, challenge)
+    return verify_presentation(vp, challenge, TrustPolicy.trusting(*roots), Resolver(registry))
+
+
+def test_revoking_only_the_last_of_four_credentials_fails_the_presentation():
+    registry = CountingRegistry()
+    issuer = revocable_issuer(registry)
+    holder = peer_identity()
+    creds = authn_and_three_authz(issuer, holder[1])
+    assert present_to(registry, holder, creds, [issuer[1]]).ok
+
+    revoke(registry, issuer[0], creds[-1])
+    assert present_to(registry, holder, creds, [issuer[1]]).failures == ["revoked"]
+    assert present_to(registry, holder, creds[:-1], [issuer[1]]).ok
+
+
+def test_status_is_read_once_per_registry_per_presentation():
+    registry = CountingRegistry()
+    holder = peer_identity()
+    first = revocable_issuer(registry)
+    creds = authn_and_three_authz(first, holder[1])
+
+    assert present_to(registry, holder, creds, [first[1]]).ok
+    assert registry.status_reads == [(first[2], [vc.credential_id for vc in creds])]
+    registry.status_reads.clear()
+    assert present_to(registry, holder, creds, [first[1]]).ok
+    assert len(registry.status_reads) == 1  # read fresh on every presentation
+
+    second = revocable_issuer(registry, nonce=b"d" * 16)
+    more = creds + authn_and_three_authz(second, holder[1])[1:]
+    registry.status_reads.clear()
+    assert present_to(registry, holder, more, [first[1], second[1]]).ok
+    assert sorted(reg for reg, _ in registry.status_reads) == sorted([first[2], second[2]])
+
+
+def test_unknown_revocation_registry_still_raises():
+    from sbacl.errors import RegistryError
+
+    registry = Registry()
+    keys, did, _ = revocable_issuer(registry)
+    holder = peer_identity()
+    vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
+                          revocation_registry_id="f" * 64)
+    with pytest.raises(RegistryError) as err:
+        present_to(registry, holder, [vc], [did])
+    assert err.value.code == "unknown_registry"
+
+
+def test_revocation_registry_outage_still_raises():
+    from sbacl.vdr_http import RegistryHttpClient
+
+    keys, did = peer_identity()
+    holder = peer_identity()
+    vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
+                          revocation_registry_id="r" * 64)
+    dead = RegistryHttpClient("http://127.0.0.1:1", timeout=0.2)
+    with pytest.raises(RegistryUnavailableError):
+        present_to(dead, holder, [vc], [did])
+
+
+def test_a_status_answer_missing_an_id_is_not_a_verdict():
+    class Forgetful(Registry):
+        def check_status(self, registry_id, credential_ids):
+            return {}
+
+    registry = Forgetful()
+    keys, did, registry_id = revocable_issuer(registry)
+    holder = peer_identity()
+    vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
+                          revocation_registry_id=registry_id)
+    with pytest.raises(RevocationCheckError):
+        present_to(registry, holder, [vc], [did])

@@ -142,11 +142,12 @@ def test_revocation_requires_own_log(domain):
     registry, root, child = domain
     _, holder_did, bootstrap = enrolled_holder(child)
 
-    assert registry.check_status(child.revocation_registry_id,
-                                 bootstrap.credential_id) == "active"
+    ids = [bootstrap.credential_id]
+    assert registry.check_status(child.revocation_registry_id, ids) == {
+        bootstrap.credential_id: "active"}
     child.revoke_credential(bootstrap.credential_id)
-    assert registry.check_status(child.revocation_registry_id,
-                                 bootstrap.credential_id) == "revoked"
+    assert registry.check_status(child.revocation_registry_id, ids) == {
+        bootstrap.credential_id: "revoked"}
 
     with pytest.raises(IssuanceError) as err:
         child.revoke_credential("never-issued")
@@ -175,7 +176,7 @@ def test_issuance_log_survives_restart(registry, tmp_path):
                   issuance_log=log_path)
     second.revocation_registry_id = revreg
     second.revoke_credential(vc.credential_id)
-    assert registry.check_status(revreg, vc.credential_id) == "revoked"
+    assert registry.check_status(revreg, [vc.credential_id]) == {vc.credential_id: "revoked"}
     second.shutdown()
 
 

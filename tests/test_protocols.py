@@ -73,8 +73,8 @@ def test_session_store_reaps_idle_sessions():
     stale = _fresh_session()
     stale.updated_at = time.time() - 60
     fresh = _fresh_session("t2")
-    store.put(stale)
     store.put(fresh)
+    store.put(stale)  # put last, so only the reap() below evicts it
 
     reaped = store.reap()
     assert [s.thread_id for s in reaped] == ["t"]
@@ -91,6 +91,20 @@ def test_take_triggers_reaping():
     store.put(stale)
     assert store.take("t", "p") is None
     assert len(store) == 0
+
+
+def test_put_reaps_threads_that_were_opened_and_never_continued():
+    store = SessionStore(timeout=0.05)
+    opened = time.time()
+    for index in range(100):
+        session = _fresh_session(f"t{index}")
+        if index % 2:
+            session.updated_at = opened - 0.2
+        store.put(session)
+    before = time.time()
+    store.put(_fresh_session("next"))
+    assert store.reap(now=before) == []  # nothing stale at the put was left
+    assert 1 <= len(store) <= 51
 
 
 # --- issuance, holder side ------------------------------------------------------

@@ -128,13 +128,16 @@ def make_revreg(registry, keys, issuer_did, nonce=b"n" * 16):
 def test_revocation_lifecycle_with_peer_issuer(registry):
     keys, issuer = peer_identity()
     registry_id = make_revreg(registry, keys, issuer)
-    assert registry.check_status(registry_id, "cred-1") == "active"
+    assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
 
     signature = ed25519_sign(keys.signing_secret, revoke_request_bytes(registry_id, "cred-1"))
     registry.revoke(registry_id, "cred-1", signature)
-    assert registry.check_status(registry_id, "cred-1") == "revoked"
+    assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "revoked"}
     registry.revoke(registry_id, "cred-1", signature)  # idempotent
-    assert registry.check_status(registry_id, "cred-2") == "active"
+    assert registry.check_status(registry_id, ["cred-1", "cred-2"]) == {
+        "cred-1": "revoked", "cred-2": "active",
+    }
+    assert registry.check_status(registry_id, []) == {}
 
 
 def test_revocation_registry_creation_replay(registry):
@@ -156,12 +159,12 @@ def test_revoke_requires_issuer_signature(registry):
     with pytest.raises(RegistryError) as err:
         registry.revoke(registry_id, "cred-1", signature)
     assert err.value.code == "not_issuer"
-    assert registry.check_status(registry_id, "cred-1") == "active"
+    assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
 
 
 def test_unknown_revocation_registry(registry):
     with pytest.raises(RegistryError) as err:
-        registry.check_status("f" * 64, "cred-1")
+        registry.check_status("f" * 64, ["cred-1"])
     assert err.value.code == "unknown_registry"
 
 
@@ -182,8 +185,9 @@ def test_log_replay_restores_state(tmp_path):
 
     reloaded = Registry(log_path=log)
     assert reloaded.resolve_did(doc.did).version == 2
-    assert reloaded.check_status(registry_id, "cred-9") == "revoked"
-    assert reloaded.check_status(registry_id, "cred-10") == "active"
+    assert reloaded.check_status(registry_id, ["cred-9", "cred-10"]) == {
+        "cred-9": "revoked", "cred-10": "active",
+    }
 
 
 def test_reopening_a_registry_appends_nothing_to_its_log(tmp_path):
@@ -289,11 +293,11 @@ def test_http_client_mirrors_registry(registry_http):
         peer_did, nonce,
         ed25519_sign(peer_keys.signing_secret, revocation_request_bytes(peer_did, nonce)),
     )
-    assert client.check_status(registry_id, "c1") == "active"
+    assert client.check_status(registry_id, ["c1"]) == {"c1": "active"}
     client.revoke(registry_id, "c1",
                   ed25519_sign(peer_keys.signing_secret,
                                revoke_request_bytes(registry_id, "c1")))
-    assert client.check_status(registry_id, "c1") == "revoked"
+    assert client.check_status(registry_id, ["c1", "c2"]) == {"c1": "revoked", "c2": "active"}
 
 
 def test_http_client_unreachable():
@@ -319,3 +323,18 @@ def test_http_put_path_must_match_body(registry_http):
     )
     assert resp.status_code == 400
     assert resp.json()["error"] == "bad_request"
+
+def test_http_status_read_takes_a_list_of_ids(registry_http):
+    _, _, client = registry_http
+    peer_keys, peer_did = peer_identity()
+    registry_id = make_revreg(client, peer_keys, peer_did)
+
+    import requests
+    for ids in ("c1", [1, 2], None):
+        resp = requests.post(f"{client.base_url}/revocation-registries/{registry_id}/status",
+                             json={"credentialIds": ids}, timeout=5)
+        assert resp.status_code == 400
+        assert resp.json()["error"] == "bad_request"
+    with pytest.raises(RegistryError) as err:
+        client.check_status("f" * 64, ["c1"])
+    assert err.value.code == "unknown_registry"
