@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 from . import crypto
 from .encoding import b64u_decode, b64u_encode, canonical_json
 from .errors import (
+    IdentityError,
     IssuanceError,
     PresentationError,
     RegistryError,
-    RegistryUnavailableError,
     RevocationCheckError,
-    SbaclError,
 )
 from .identity import Did, KeyPair
 
@@ -351,19 +350,17 @@ def build_presentation(
 def _resolved_signing_key(resolver, did_str: str) -> bytes | None:
     """Signing key for a DID, or None when the DID cannot be authenticated.
 
-    Registry outages propagate; a malformed or unregistered DID yields None
-    because no signature could ever be attributed to it.
+    Registry outages propagate; a malformed or unregistered DID, or one
+    whose history is refused, yields None because no signature could ever
+    be attributed to it.
     """
     try:
         return resolver.resolve(did_str).signing_key
-    except RegistryUnavailableError:
-        raise
+    except IdentityError:
+        return None
     except RegistryError as exc:
-        if exc.code == "unknown_did":
-            return None
-        raise
-    except SbaclError:
-        # Malformed DID strings land here via IdentityError.
+        if exc.code != "unknown_did":
+            raise
         return None
 
 

@@ -131,7 +131,7 @@ class DidDocument:
                     b64u_decode(data["prevVersionHash"]) if "prevVersionHash" in data else None
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise IdentityError(f"malformed DID document: {exc}") from exc
 
     def canonical_bytes(self) -> bytes:
@@ -163,14 +163,17 @@ def extract_peer_document(did: Did | str) -> DidDocument:
     return DidDocument(did=did, version=1, signing_key=raw[1:33], agreement_key=raw[33:65])
 
 
+def _fingerprint(signing_key: bytes) -> str:
+    return b58encode(sha256(signing_key)[:16])
+
+
 def create_registry_did(kp: KeyPair, endpoint: str | None = None) -> tuple[Did, DidDocument]:
     """Derive a registry-anchored DID and its initial (unregistered) document.
 
     The identifier fingerprints only the signing key, so later rotations
     never change the DID string.
     """
-    identifier = b58encode(sha256(kp.signing_public)[:16])
-    did = Did("registry", identifier)
+    did = Did("registry", _fingerprint(kp.signing_public))
     doc = DidDocument(did=did, version=1, signing_key=kp.signing_public,
                       agreement_key=kp.agreement_public, service_endpoint=endpoint)
     return did, doc
@@ -256,27 +259,47 @@ def publish_document(registry, resolver, keys: KeyPair, endpoint: str | None) ->
     return update.document
 
 
-def verify_document_chain(versions: list[tuple[DidDocument, bytes]]) -> bool:
-    """Check a full version history: signatures, hash links, version numbers.
+def check_successor(prev: DidDocument | None, update: SignedDocumentUpdate) -> None:
+    """The version rule: with no `prev`, `update` is a version 1 whose DID
+    fingerprints its signing key and which that key signed; otherwise it
+    names `prev`'s DID, is numbered one past it, carries its hash and is
+    signed by its key. Raises `RegistryError` naming the failed check."""
+    doc = update.document
+    if prev is None:
+        if doc.version != 1:
+            raise RegistryError("bad_version", f"a history starts at version 1, not {doc.version}")
+        if doc.prev_version_hash is not None:
+            raise RegistryError("bad_request", "version 1 must not carry a prev hash")
+        if doc.did != Did("registry", _fingerprint(doc.signing_key)):
+            raise RegistryError("bad_request", "DID is not the registry fingerprint of its key")
+    elif doc.did != prev.did:
+        raise RegistryError("bad_request", f"version {doc.version} names {doc.did}, not {prev.did}")
+    elif doc.version != prev.version + 1:
+        raise RegistryError("version_gap", f"expected version {prev.version + 1}, got {doc.version}")
+    elif doc.prev_version_hash != document_hash(prev):
+        raise RegistryError("hash_mismatch", f"version {doc.version} misses its predecessor's hash")
+    signer = (prev or doc).signing_key
+    if not crypto.ed25519_verify(signer, update.signature, doc.canonical_bytes()):
+        raise RegistryError("bad_signature", f"version {doc.version} is not signed by "
+                                             f"{'the key it supersedes' if prev else 'its own key'}")
 
-    Version 1 must be self-signed; every later version must be signed by its
-    predecessor's key and carry the predecessor's hash.
-    """
-    prev: DidDocument | None = None
-    for doc, signature in versions:
-        expected_version = 1 if prev is None else prev.version + 1
-        if doc.version != expected_version:
-            return False
-        signer_key = doc.signing_key if prev is None else prev.signing_key
-        if not crypto.ed25519_verify(signer_key, signature, doc.canonical_bytes()):
-            return False
-        if prev is None:
-            if doc.prev_version_hash is not None:
-                return False
-        elif doc.prev_version_hash != document_hash(prev):
-            return False
-        prev = doc
-    return prev is not None
+
+def verify_document_chain(history: list[SignedDocumentUpdate],
+                          verified: DidDocument | None = None) -> DidDocument:
+    """The latest document of a signed history, each step checked by
+    `check_successor`. `verified`, a version checked before, must appear
+    unchanged at its place, so a history never goes back behind it; only
+    the versions after it are checked."""
+    start = 0 if verified is None else verified.version
+    if len(history) < max(start, 1):
+        raise RegistryError("bad_version", f"history ends before version {max(start, 1)}")
+    if verified is not None and history[start - 1].document != verified:
+        raise RegistryError("hash_mismatch", f"version {start} differs from the one verified")
+    latest = verified
+    for update in history[start:]:
+        check_successor(latest, update)
+        latest = update.document
+    return latest
 
 
 class ResolutionCache:
@@ -284,44 +307,46 @@ class ResolutionCache:
 
     def __init__(self, max_age: float = DEFAULT_CACHE_MAX_AGE):
         self.max_age = max_age
-        self._entries: dict[str, tuple[DidDocument, float]] = {}
+        self._entries: dict[str, tuple[DidDocument, float | None]] = {}
         self._lock = threading.Lock()
 
     def get(self, did: Did | str, now: float | None = None) -> DidDocument | None:
-        """The cached document, or None when absent or older than `max_age`."""
+        """The cached document, or None when absent, expired or older than `max_age`."""
         now = time.time() if now is None else now
         with self._lock:
-            entry = self._entries.get(str(did))
-        if entry is None or now - entry[1] > self.max_age:
-            return None
-        return entry[0]
+            doc, stamp = self._entries.get(str(did), (None, None))
+        return doc if stamp is not None and now - stamp <= self.max_age else None
 
     def last(self, did: Did | str) -> DidDocument | None:
-        """The cached document however old, or None when absent."""
+        """The cached document however old, even expired, or None when absent."""
         with self._lock:
-            entry = self._entries.get(str(did))
-        return None if entry is None else entry[0]
+            return self._entries.get(str(did), (None, None))[0]
 
     def put(self, doc: DidDocument, now: float | None = None) -> None:
+        """Keep `doc` unless a later version is held; refreshes can finish out of order."""
         now = time.time() if now is None else now
         with self._lock:
-            self._entries[str(doc.did)] = (doc, now)
+            held = self._entries.get(str(doc.did))
+            if held is None or held[0].version <= doc.version:
+                self._entries[str(doc.did)] = (doc, now)
 
-    def drop(self, did: Did | str) -> None:
+    def expire(self, did: Did | str) -> None:
+        """Make `get` miss until the next `put`, keeping the copy for `last`."""
         with self._lock:
-            self._entries.pop(str(did), None)
+            if str(did) in self._entries:
+                self._entries[str(did)] = (self._entries[str(did)][0], None)
 
 
 class Resolver:
     """The one place DID documents and revocation status are read from.
 
     Peer DIDs resolve from the identifier alone. Registry DIDs are served
-    from the cache while younger than `max_age`, otherwise fetched from
-    `registry_client`, which also answers revocation status checks. When
-    the registry cannot be reached, a cached copy of any age is kept, and
-    `resolve` serves it without asking again until the `OUTAGE_BACKOFF`
-    hold-off has passed.
-    """
+    from the cache while younger than `max_age`, otherwise their history is
+    fetched from `registry_client`, which also answers revocation status
+    checks, and must extend the cached copy under `verify_document_chain`,
+    or it is refused as `unknown_did`. When the registry cannot be reached,
+    a cached copy of any age is kept, and `resolve` serves it without
+    asking again until the `OUTAGE_BACKOFF` hold-off has passed."""
 
     def __init__(self, registry_client=None, max_age: float = DEFAULT_CACHE_MAX_AGE):
         self.registry_client = registry_client
@@ -337,8 +362,8 @@ class Resolver:
         return doc if doc is not None else self.refresh(did)
 
     def refresh(self, did: Did | str) -> DidDocument:
-        """Fetch the DID's current document, regardless of the cached copy's
-        age. A registry outage keeps any cached copy."""
+        """Fetch and check the DID's current document, regardless of the
+        cached copy's age. A registry outage keeps any cached copy."""
         if isinstance(did, str):
             did = parse_did(did)
         if did.method == "peer":
@@ -346,16 +371,22 @@ class Resolver:
         if self.registry_client is None:
             raise IdentityError(f"registry DID {did} needs a registry client to resolve")
         started = time.monotonic()
+        cached = self.cache.last(did)
         try:
-            doc = self.registry_client.resolve_did(str(did))
+            history = self.registry_client.resolve_did(str(did))
         except RegistryUnavailableError as exc:
-            stale = self.cache.last(did)
-            if stale is None:
+            if cached is None:
                 raise
             failed = time.monotonic()
             self._retry_at[str(did)] = failed + OUTAGE_BACKOFF * (failed - started)
             log.warning("keeping stale document for %s: %s", did, exc)
-            return stale
+            return cached
+        try:
+            doc = verify_document_chain(history, cached)
+            if doc.did != did:
+                raise RegistryError("bad_request", f"the history is of {doc.did}")
+        except RegistryError as exc:
+            raise RegistryError("unknown_did", f"{did} history refused: {exc.code}: {exc}") from exc
         self._retry_at.pop(str(did), None)
         self.cache.put(doc)
         return doc

@@ -43,9 +43,12 @@ from .envelope import (
 from .envelope_http import EnvelopeChannel, EnvelopeHttpServer
 from .errors import (
     HandshakeRejectedError,
+    IdentityError,
     PeerUnreachableError,
     ProtocolError,
+    RegistryError,
     RegistryUnavailableError,
+    RevocationCheckError,
     StalePeerKeyError,
     WireFormatError,
 )
@@ -300,9 +303,10 @@ class Sidecar:
 
         Operational hook: after a credential change the operator can force
         the pair through a fresh handshake instead of waiting for expiry.
-        """
+        The peer's document expires but is kept, so the next history read
+        must still extend it."""
         self._drop_outbound(peer)
-        self.resolver.cache.drop(peer)
+        self.resolver.cache.expire(peer)
 
     def intercept(self, method: str, path: str, headers: list[tuple[str, str]],
                   body: bytes, host: str) -> tuple[int, list[tuple[str, str]], bytes]:
@@ -322,6 +326,12 @@ class Sidecar:
             return _json_error(504, "peer_timeout", str(exc))
         except RegistryUnavailableError as exc:
             return _json_error(503, "registry_unavailable", str(exc))
+        except (RegistryError, IdentityError) as exc:
+            if isinstance(exc, RegistryError) and exc.code != "unknown_did":
+                return _json_error(502, "registry_refused", f"{exc.code}: {exc}")
+            return _json_error(502, "unknown_peer", str(exc))
+        except RevocationCheckError as exc:
+            return _json_error(502, "revocation_unchecked", str(exc))
         except ProtocolError as exc:
             return _json_error(502, "tunnel_failed", str(exc))
         except WireFormatError as exc:  # only our own frame can be refused here

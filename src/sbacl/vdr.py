@@ -1,10 +1,10 @@
 """The verifiable data registry: DID-document versions and revocation state.
 
-One trusted service with two stores. DID records are append-only version
-lists where every new version must be signed by the key it replaces, which
-is what makes updates owner-controlled without the registry holding any
-secrets. Revocation registries are monotonic credential-id sets writable
-only by their issuer.
+One service with two stores. DID records are append-only version lists
+where every new version must pass `identity.check_successor`, which every
+reader checks again, so updates are owner-controlled without the registry
+holding any secrets. Revocation registries are monotonic credential-id
+sets writable only by their issuer.
 
 Each accepted write is appended to a JSON-lines log, which is opened for
 that one write and closed again; a restarted registry replays the log
@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import crypto
-from .encoding import JsonLines, b58encode, b64u_decode, b64u_encode, canonical_json, sha256
+from .encoding import JsonLines, b64u_decode, b64u_encode, canonical_json, sha256
 from .errors import RegistryError, UnknownDidError
 from .identity import (
     Did,
-    DidDocument,
     SignedDocumentUpdate,
-    document_hash,
+    check_successor,
     extract_peer_document,
     parse_did,
 )
@@ -97,68 +96,38 @@ class Registry:
     # -- DID records -----------------------------------------------------------
 
     def register(self, update: SignedDocumentUpdate) -> None:
-        doc = update.document
-        if doc.did.method != "registry":
-            raise RegistryError("bad_request", "only registry DIDs can be registered")
-        if doc.version != 1:
-            raise RegistryError("bad_version", "registration requires document version 1")
-        if doc.prev_version_hash is not None:
-            raise RegistryError("bad_request", "version 1 must not carry a prev hash")
-        expected_id = b58encode(sha256(doc.signing_key)[:16])
-        if doc.did.identifier != expected_id:
-            raise RegistryError("bad_request", "identifier is not the signing-key fingerprint")
-        if not crypto.ed25519_verify(doc.signing_key, update.signature, doc.canonical_bytes()):
-            raise RegistryError("bad_signature", "self-signature does not verify")
+        check_successor(None, update)
         with self._lock:
-            key = str(doc.did)
+            key = str(update.document.did)
             if key in self._records:
                 raise RegistryError("already_exists", f"{key} is already registered")
             self._records[key] = [update]
             self._log.append({"event": "register", "update": update.to_dict()})
 
     def update(self, update: SignedDocumentUpdate) -> None:
-        doc = update.document
         with self._lock:
-            versions = self._records.get(str(doc.did))
-            if versions is None:
-                raise UnknownDidError(str(doc.did))
-            latest = versions[-1].document
-            if doc.version != latest.version + 1:
-                raise RegistryError(
-                    "version_gap",
-                    f"expected version {latest.version + 1}, got {doc.version}",
-                )
-            if doc.prev_version_hash != document_hash(latest):
-                raise RegistryError("hash_mismatch", "prev hash does not match latest version")
-            if not crypto.ed25519_verify(latest.signing_key, update.signature,
-                                         doc.canonical_bytes()):
-                raise RegistryError("bad_signature", "update not signed by the current key")
+            versions = self._history(update.document.did)
+            check_successor(versions[-1].document, update)
             versions.append(update)
             self._log.append({"event": "update", "update": update.to_dict()})
 
-    def resolve_did(self, did: Did | str) -> DidDocument:
+    def resolve_did(self, did: Did | str) -> list[SignedDocumentUpdate]:
+        """The DID's signed version history, oldest first."""
         with self._lock:
-            versions = self._records.get(str(did))
-            if versions is None:
-                raise UnknownDidError(str(did))
-            return versions[-1].document
+            return list(self._history(did))
 
-    def versions(self, did: Did | str) -> list[SignedDocumentUpdate]:
-        with self._lock:
-            versions = self._records.get(str(did))
-            if versions is None:
-                raise UnknownDidError(str(did))
-            return list(versions)
+    def _history(self, did: Did | str) -> list[SignedDocumentUpdate]:
+        versions = self._records.get(str(did))
+        if versions is None:
+            raise UnknownDidError(str(did))
+        return versions
 
     def _signing_key_of(self, did_str: str) -> bytes:
         did = parse_did(did_str)
         if did.method == "peer":
             return extract_peer_document(did).signing_key
         with self._lock:
-            versions = self._records.get(did_str)
-        if versions is None:
-            raise UnknownDidError(did_str)
-        return versions[-1].document.signing_key
+            return self._history(did_str)[-1].document.signing_key
 
     # -- revocation registries ---------------------------------------------------
 

@@ -11,7 +11,7 @@ import json
 
 from .encoding import b64u_decode, b64u_encode
 from .errors import IdentityError, RegistryError, RegistryUnavailableError, UnknownDidError
-from .identity import Did, DidDocument, SignedDocumentUpdate
+from .identity import Did, SignedDocumentUpdate
 from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .vdr import Registry
 
@@ -52,12 +52,8 @@ def _make_handler(registry: Registry):
                 registry.update(update)
                 self.send_json(200, {"ok": True})
             elif method == "GET" and len(parts) == 2 and parts[0] == "dids":
-                doc = registry.resolve_did(parts[1])
-                self.send_json(200, {"document": doc.to_dict()})
-            elif method == "GET" and len(parts) == 3 and parts[:1] == ["dids"] \
-                    and parts[2] == "versions":
-                versions = registry.versions(parts[1])
-                self.send_json(200, {"versions": [v.to_dict() for v in versions]})
+                history = registry.resolve_did(parts[1])
+                self.send_json(200, {"versions": [v.to_dict() for v in history]})
             elif method == "POST" and parts == ["revocation-registries"]:
                 body = json.loads(self.read_body())
                 registry_id = registry.create_revocation_registry(
@@ -119,19 +115,15 @@ class RegistryHttpClient:
     def update(self, update: SignedDocumentUpdate) -> None:
         self._request("PUT", f"/dids/{update.document.did}", update.to_dict())
 
-    def resolve_did(self, did: Did | str) -> DidDocument:
+    def resolve_did(self, did: Did | str) -> list[SignedDocumentUpdate]:
         try:
             body = self._request("GET", f"/dids/{did}")
         except RegistryError as exc:
             raise UnknownDidError(str(did)) if exc.code == "unknown_did" else exc
-        return DidDocument.from_dict(body["document"])
-
-    def versions(self, did: Did | str) -> list[SignedDocumentUpdate]:
-        try:
-            body = self._request("GET", f"/dids/{did}/versions")
-        except RegistryError as exc:
-            raise UnknownDidError(str(did)) if exc.code == "unknown_did" else exc
-        return [SignedDocumentUpdate.from_dict(v) for v in body["versions"]]
+        versions = body.get("versions") if isinstance(body, dict) else None
+        if not isinstance(versions, list):
+            raise IdentityError(f"registry answered {did} with no version list")
+        return [SignedDocumentUpdate.from_dict(v) for v in versions]
 
     def create_revocation_registry(self, issuer: str, nonce: bytes, signature: bytes) -> str:
         body = self._request("POST", "/revocation-registries", {

@@ -8,6 +8,8 @@ package) so agreement is meaningful.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import struct
 
@@ -176,3 +178,46 @@ def chain_is_valid(vc_dict: dict, trusted_roots: set[str]) -> bool:
                 return False
         previous_rights = rights
     return True
+
+
+# --- independent DID history checker --------------------------------------------
+
+
+def _b64u(text: str) -> bytes:
+    return base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
+
+
+def document_chain_is_valid(history_json: list[dict]) -> bool:
+    """Check a registry DID's serialized history from version 1, recomputing
+    the version rule.
+
+    Version 1 must carry no prev hash, its DID must be `did:svdr:` plus the
+    base58 of the first 16 bytes of SHA-256 over its signing key, and that
+    key must sign it. Every later version must name the same DID, be
+    numbered one higher, carry the SHA-256 of the previous document's
+    canonical JSON, and be signed by the previous version's signing key.
+    """
+    prefix = "did:svdr:"
+    prev = None
+    for entry in history_json:
+        doc = entry["document"]
+        if prev is None:
+            try:
+                fingerprint = b58decode(doc["id"][len(prefix):])
+            except ValueError:
+                return False
+            if not doc["id"].startswith(prefix) or doc["version"] != 1 \
+                    or "prevVersionHash" in doc \
+                    or fingerprint != hashlib.sha256(_b64u(doc["signingKey"])).digest()[:16]:
+                return False
+            signer = doc["signingKey"]
+        else:
+            if doc["id"] != prev["id"] or doc["version"] != prev["version"] + 1:
+                return False
+            if _b64u(doc.get("prevVersionHash", "")) != hashlib.sha256(_canonical(prev)).digest():
+                return False
+            signer = prev["signingKey"]
+        if not _verify(_b64u(signer), entry["signature"], _canonical(doc)):
+            return False
+        prev = doc
+    return prev is not None

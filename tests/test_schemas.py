@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -16,7 +17,13 @@ from sbacl.credentials import (
 )
 from sbacl.envelope import REGISTERED_TYPES, MSG_TUNNEL_REQUEST, ProtocolMessage, pack
 from sbacl.harness import benchmark, launch_topology
-from sbacl.identity import create_peer_did, generate_keypair
+from sbacl.identity import (
+    create_peer_did,
+    create_registry_did,
+    generate_keypair,
+    rotate_document,
+    self_sign_document,
+)
 
 from conftest import MINI_SCRIPT, MINI_TOPOLOGY, build_hierarchy, peer_identity
 
@@ -81,6 +88,18 @@ def test_message_schema_accepts_every_registered_type():
         _check("message.schema.json", ProtocolMessage(mtype, {"x": "y"}).to_dict())
 
 
+def test_did_history_schema_accepts_a_live_registry_answer(registry_http):
+    _, _, client = registry_http
+    keys = generate_keypair()
+    _, doc = create_registry_did(keys, "http://127.0.0.1:9")
+    client.register(self_sign_document(doc, keys))
+    client.update(rotate_document(doc, generate_keypair(), keys.signing_secret))
+    resp = requests.get(f"{client.base_url}/dids/{doc.did}", timeout=5)
+    assert resp.status_code == 200
+    _check("did-history.schema.json", resp.json())
+    assert [v["document"]["version"] for v in resp.json()["versions"]] == [1, 2]
+
+
 def test_report_schema_accepts_benchmark_output():
     topology = launch_topology(MINI_TOPOLOGY)
     try:
@@ -108,6 +127,10 @@ def test_report_schema_accepts_benchmark_output():
       "content_encryption": "A256GCM", "nonce": "A" * 32}),  # wrong alg
     ("message.schema.json",
      {"type": "acl/2.0/offer", "thread_id": "t", "body": {}}),  # unknown version
+    ("did-history.schema.json", {"versions": []}),  # no version 1
+    ("did-history.schema.json",
+     {"document": {"id": "did:svdr:2a", "version": 1, "signingKey": "A" * 43,
+                   "agreementKey": "A" * 43}}),  # a bare document, not a history
 ])
 def test_schemas_reject_malformed(name, instance):
     assert not validator(name).is_valid(instance)

@@ -3,13 +3,22 @@ import logging
 import math
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 import requests
 
-from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ
-from sbacl.envelope import MAX_FRAME, MSG_TUNNEL_REQUEST, MSG_TUNNEL_RESPONSE, ProtocolMessage
+from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, issue_credential
+from sbacl.envelope import (
+    MAX_FRAME,
+    MSG_TUNNEL_REQUEST,
+    MSG_TUNNEL_RESPONSE,
+    ProtocolMessage,
+    encode_wire,
+    pack,
+)
 from sbacl.httputil import HttpService, QuietHandler
+from sbacl.identity import SignedDocumentUpdate, create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import Association, AssociationStore, LocalService, RouteRule, Sidecar
@@ -413,6 +422,115 @@ def test_rotation_without_refresh_surfaces_stale_key(world):
     # the explicit operator refresh repairs it
     world.consumer.resolver.refresh(world.producer.did)
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+
+
+# --- a registry that lies ------------------------------------------------------------
+
+
+class _LyingRegistry:
+    """Answers as `registry` does, except for the methods given as keywords."""
+
+    def __init__(self, registry, **lies):
+        self._registry, self._lies = registry, lies
+
+    def __getattr__(self, name):
+        return self._lies.get(name) or getattr(self._registry, name)
+
+
+def _serving(registry, did, lie):
+    """A registry that passes `did`'s true history through `lie`."""
+    def resolve_did(asked):
+        history = registry.resolve_did(asked)
+        return lie(history) if str(asked) == did else history
+    return _LyingRegistry(registry, resolve_did=resolve_did)
+
+
+def _swap_agreement_key(key):
+    """A lie: the latest version names `key` as its agreement key."""
+    def lie(history):
+        *older, last = history
+        return older + [SignedDocumentUpdate(replace(last.document, agreement_key=key),
+                                             last.signature)]
+    return lie
+
+
+def _refused_as(resp, status, code):
+    assert resp.status_code == status, resp.text
+    assert resp.json()["error"] == code
+    return resp.json().get("detail") or resp.json().get("message")
+
+
+def test_forged_peer_document_is_unknown_peer(world):
+    attacker = generate_keypair()
+    consumer = world.make_consumer(
+        "AMF-2", [{"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}],
+        registry=_serving(world.registry, world.producer.did,
+                          _swap_agreement_key(attacker.agreement_public)))
+    resp = world.call("GET", "/nudm-sdm/v2/data", consumer=consumer)
+    assert "bad_signature" in _refused_as(resp, 502, "unknown_peer")
+    assert world.producer_nf.request_count() == 0
+
+
+def test_envelope_from_a_forged_sender_document_is_unknown_sender(world):
+    attacker = generate_keypair()
+    victim = world.consumer.did
+    world.producer.resolver.registry_client = _serving(
+        world.registry, victim, _swap_agreement_key(attacker.agreement_public))
+    msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
+        "correlation_id": "c-1", "method": "GET", "path": "/nudm-sdm/v2/data", "headers": [],
+    })
+    wire = encode_wire(pack(msg, attacker, victim, world.producer.current_doc))
+    resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
+    assert "bad_signature" in _refused_as(resp, 400, "unknown_sender")
+    assert world.producer_nf.request_count() == 0
+
+
+def test_rolled_back_peer_document_is_unknown_peer(world):
+    world.producer.rotate_keys()
+    assert world.consumer.resolver.resolve(world.producer.did).version == 2
+    world.consumer.resolver.registry_client = _serving(
+        world.registry, world.producer.did, lambda history: history[:1])
+    world.consumer.resolver.cache.max_age = 0.0  # the call re-reads the history
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert "bad_version" in _refused_as(resp, 502, "unknown_peer")
+    assert world.producer_nf.request_count() == 0
+
+
+def test_forget_peer_keeps_rollback_protection(world):
+    world.producer.rotate_keys()
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    world.consumer.forget_peer(world.producer.did)
+    world.consumer.resolver.registry_client = _serving(
+        world.registry, world.producer.did, lambda history: history[:1])
+    served = world.producer_nf.request_count()
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert "bad_version" in _refused_as(resp, 502, "unknown_peer")
+    assert world.producer_nf.request_count() == served
+
+
+def test_unregistered_route_target_is_unknown_peer(world):
+    ghost = str(create_registry_did(generate_keypair())[0])
+    world.consumer.routes.insert(0, RouteRule(host="UDM-9", target_did=ghost))
+    resp = world.call("GET", "/nudm-sdm/v2/data", headers={"Host": "UDM-9"})
+    assert ghost in _refused_as(resp, 502, "unknown_peer")
+    assert world.producer_nf.request_count() == 0
+
+
+def test_unknown_revocation_registry_is_a_registry_refusal(world):
+    world.producer.authn_creds[:] = [issue_credential(
+        world.root.keys, world.root.did, KIND_AUTHN, world.producer.did,
+        {"nf_type": "UDM", "domain": "core"}, revocation_registry_id="0" * 64)]
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert "unknown_registry" in _refused_as(resp, 502, "registry_refused")
+    assert world.producer_nf.request_count() == 0
+
+
+def test_unanswered_revocation_status_is_unchecked(world):
+    world.consumer.resolver.registry_client = _LyingRegistry(
+        world.registry, check_status=lambda registry_id, credential_ids: {})
+    resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert "gave no status" in _refused_as(resp, 502, "revocation_unchecked")
+    assert world.producer_nf.request_count() == 0
 
 
 def test_registry_outage_keeps_the_stale_peer_document(world, caplog):

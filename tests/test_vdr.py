@@ -4,7 +4,7 @@ import logging
 import pytest
 
 from sbacl.crypto import ed25519_sign
-from sbacl.errors import RegistryError, UnknownDidError
+from sbacl.errors import IdentityError, RegistryError, UnknownDidError
 from sbacl.identity import (
     create_registry_did,
     generate_keypair,
@@ -25,9 +25,8 @@ def register_identity(registry, endpoint=None):
 
 def test_register_and_resolve(registry):
     keys, doc = register_identity(registry, "http://127.0.0.1:9")
-    resolved = registry.resolve_did(str(doc.did))
-    assert resolved == doc
-    assert len(registry.versions(doc.did)) == 1
+    history = registry.resolve_did(str(doc.did))
+    assert [update.document for update in history] == [doc]
 
 
 def test_register_rejects_duplicate(registry):
@@ -81,7 +80,7 @@ def test_rotation_must_be_signed_by_previous_key(registry):
 
     good = rotate_document(doc, new_keys, keys.signing_secret)
     registry.update(good)
-    assert registry.resolve_did(doc.did).version == 2
+    assert registry.resolve_did(doc.did)[-1] == good
 
     # replaying the same update is now a version gap
     with pytest.raises(RegistryError) as err:
@@ -108,8 +107,6 @@ def test_unknown_did_everywhere(registry):
     did, _ = create_registry_did(generate_keypair())
     with pytest.raises(UnknownDidError):
         registry.resolve_did(did)
-    with pytest.raises(UnknownDidError):
-        registry.versions(did)
     keys = generate_keypair()
     update = rotate_document(create_registry_did(keys)[1], generate_keypair(),
                              keys.signing_secret)
@@ -184,7 +181,8 @@ def test_log_replay_restores_state(tmp_path):
                                  revoke_request_bytes(registry_id, "cred-9")))
 
     reloaded = Registry(log_path=log)
-    assert reloaded.resolve_did(doc.did).version == 2
+    assert reloaded.resolve_did(doc.did) == registry.resolve_did(doc.did)
+    assert len(reloaded.resolve_did(doc.did)) == 2
     assert reloaded.check_status(registry_id, ["cred-9", "cred-10"]) == {
         "cred-9": "revoked", "cred-10": "active",
     }
@@ -247,12 +245,12 @@ def test_torn_last_line_is_cut_off_on_replay(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="sbacl.encoding"):
         reopened = Registry(log_path=log)
     assert "torn last line" in caplog.text
-    assert reopened.resolve_did(docs[1].did) == docs[1]
+    assert reopened.resolve_did(docs[1].did)[-1].document == docs[1]
     with pytest.raises(UnknownDidError):
         reopened.resolve_did(docs[2].did)
     # the next append starts on a line of its own, so the log replays again
     _, fourth = register_identity(reopened)
-    assert Registry(log_path=log).resolve_did(fourth.did) == fourth
+    assert Registry(log_path=log).resolve_did(fourth.did)[-1].document == fourth
 
 
 def test_bad_line_before_the_last_still_fails_replay(tmp_path):
@@ -273,7 +271,8 @@ def test_http_client_mirrors_registry(registry_http):
     keys = generate_keypair()
     _, doc = create_registry_did(keys, "http://127.0.0.1:9")
     client.register(self_sign_document(doc, keys))
-    assert client.resolve_did(doc.did) == doc
+    assert client.resolve_did(doc.did) == registry.resolve_did(doc.did)
+    assert client.resolve_did(doc.did)[0].document == doc
 
     with pytest.raises(RegistryError) as err:
         client.register(self_sign_document(doc, keys))
@@ -281,8 +280,8 @@ def test_http_client_mirrors_registry(registry_http):
 
     new_keys = generate_keypair()
     client.update(rotate_document(doc, new_keys, keys.signing_secret))
-    assert client.resolve_did(doc.did).version == 2
-    assert len(client.versions(doc.did)) == 2
+    assert client.resolve_did(doc.did) == registry.resolve_did(doc.did)
+    assert [v.document.version for v in client.resolve_did(doc.did)] == [1, 2]
 
     with pytest.raises(UnknownDidError):
         client.resolve_did(str(create_registry_did(generate_keypair())[0]))
@@ -307,6 +306,31 @@ def test_http_client_unreachable():
     client = RegistryHttpClient("http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(RegistryUnavailableError):
         client.resolve_did("did:svdr:3yZe7d")
+
+
+@pytest.mark.parametrize("answer", [
+    {"document": {"id": "did:svdr:3yZe7d", "version": 1}},  # one document, no history
+    {"versions": "abc"},
+    {"versions": [{"document": {"id": 5, "version": 1, "signingKey": "AA",
+                                "agreementKey": "AA"}, "signature": "AA"}]},
+    [1],
+])
+def test_http_client_refuses_a_malformed_history(answer):
+    from sbacl.httputil import HttpService, QuietHandler
+    from sbacl.vdr_http import RegistryHttpClient
+
+    class Answering(QuietHandler):
+        def do_GET(self):
+            self.send_json(200, answer)
+
+    server = HttpService(Answering).start()
+    client = RegistryHttpClient(server.base_url)
+    try:
+        with pytest.raises(IdentityError):
+            client.resolve_did("did:svdr:3yZe7d")
+    finally:
+        server.stop()
+        client._http.close()
 
 
 def test_http_put_path_must_match_body(registry_http):
