@@ -34,13 +34,10 @@ from .errors import (
     StaleKeyError,
 )
 from .identity import (
-    Did,
     DidDocument,
     KeyPair,
     Resolver,
-    create_peer_did,
     create_registry_did,
-    extract_peer_document,
     generate_keypair,
     parse_did,
     rotate_document,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "Did",
     "DidDocument",
     "Envelope",
     "EnvelopeError",
@@ -85,10 +81,8 @@ __all__ = [
     "VerifiableCredential",
     "VerifiablePresentation",
     "build_presentation",
-    "create_peer_did",
     "create_registry_did",
     "evaluate_authorization",
-    "extract_peer_document",
     "fresh_challenge",
     "generate_keypair",
     "issue_credential",

@@ -128,8 +128,7 @@ def sidecar_run(config_path: str) -> None:
         trusted_roots=raw.get("trusted_roots", []),
         keys=keys,
         routes=[RouteRule(host=r["host"], target_did=r["target_did"],
-                          path_prefix=r.get("path_prefix", "/"),
-                          service=r.get("service", ""))
+                          path_prefix=r.get("path_prefix", "/"))
                 for r in raw.get("routes", [])],
         local_services=[LocalService(s["name"], s["path_prefix"])
                         for s in raw.get("local_services", [])],

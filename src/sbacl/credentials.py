@@ -35,7 +35,7 @@ from .errors import (
     RegistryError,
     RevocationCheckError,
 )
-from .identity import Did, KeyPair
+from .identity import KeyPair
 
 KIND_AUTHN = "AuthN"
 KIND_AUTHZ = "AuthZ"
@@ -186,7 +186,7 @@ class TrustPolicy:
 
     @classmethod
     def trusting(cls, *roots) -> "TrustPolicy":
-        return cls(trusted_roots=frozenset(str(r) for r in roots))
+        return cls(trusted_roots=frozenset(roots))
 
 
 @dataclass
@@ -215,9 +215,9 @@ def chain_rights(chain: list[VerifiableCredential]) -> frozenset[str]:
 
 def issue_credential(
     issuer_key: KeyPair,
-    issuer_did: Did | str,
+    issuer_did: str,
     kind: str,
-    subject: Did | str,
+    subject: str,
     claims: dict[str, str],
     validity: int | None = None,
     revocation_registry_id: str | None = None,
@@ -234,8 +234,6 @@ def issue_credential(
     """
     if kind not in KINDS:
         raise IssuanceError("bad_kind", f"unknown credential kind {kind!r}")
-    issuer_did = str(issuer_did)
-    subject = str(subject)
     chain = list(chain or [])
     if chain:
         if chain[-1].subject != issuer_did:
@@ -269,8 +267,8 @@ def issue_credential(
 
 def issue_delegation(
     parent_key: KeyPair,
-    parent_did: Did | str,
-    child_did: Did | str,
+    parent_did: str,
+    child_did: str,
     rights,
     parent_chain: list[VerifiableCredential] | None = None,
     validity: int | None = None,
@@ -284,8 +282,6 @@ def issue_delegation(
     embeds the parent's chain, so the child's future issuances carry the
     full path back to the root.
     """
-    parent_did = str(parent_did)
-    child_did = str(child_did)
     rights = frozenset(rights)
     if not rights or not rights <= ALL_RIGHTS:
         raise IssuanceError("bad_rights", f"rights must be a non-empty subset of {sorted(ALL_RIGHTS)}")
@@ -318,13 +314,12 @@ def issue_delegation(
 
 def build_presentation(
     holder_key: KeyPair,
-    holder_did: Did | str,
+    holder_did: str,
     creds: list[VerifiableCredential],
     challenge: bytes,
     created_at: int | None = None,
 ) -> VerifiablePresentation:
     """Bundle credentials under the holder's signature for one challenge."""
-    holder_did = str(holder_did)
     if len(challenge) != CHALLENGE_SIZE:
         raise PresentationError(f"challenge must be {CHALLENGE_SIZE} bytes, got {len(challenge)}")
     if not creds:

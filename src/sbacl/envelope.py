@@ -34,7 +34,7 @@ from .errors import (
     StaleKeyError,
     WireFormatError,
 )
-from .identity import Did, DidDocument, KeyPair
+from .identity import DidDocument, KeyPair
 
 CONTENT_ENCRYPTION = "XC20P"
 NONCE_SIZE = 24
@@ -109,15 +109,15 @@ def _kek(shared_secret: bytes, header_bytes: bytes) -> bytes:
 def pack(
     msg: ProtocolMessage,
     sender_keys: KeyPair,
-    sender_did: Did | str,
+    sender_did: str,
     recipient_doc: DidDocument,
 ) -> Envelope:
     if msg.type not in REGISTERED_TYPES:
         raise EnvelopeError(f"unregistered message type {msg.type!r}")
     nonce = crypto.random_bytes(NONCE_SIZE)
     header = {
-        "sender": str(sender_did),
-        "recipient": str(recipient_doc.did),
+        "sender": sender_did,
+        "recipient": recipient_doc.did,
         "recipient_key_version": recipient_doc.version,
         "content_encryption": CONTENT_ENCRYPTION,
         "nonce": b64u_encode(nonce),

@@ -53,7 +53,7 @@ class EnvelopeChannel:
 
     def __init__(self, owner, peer_did: str):
         self.owner = owner
-        self.peer_did = str(peer_did)
+        self.peer_did = peer_did
 
     def request(self, msg: ProtocolMessage) -> ProtocolMessage:
         peer_doc = self.owner.resolver.resolve(self.peer_did)

@@ -192,9 +192,7 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
         # Child IPMFs with their delegation chains, policies, and foreign trust.
         ipmfs: dict[str, Ipmf] = {}
         for domain in domains.values():
-            foreign_roots = [
-                str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
-            ]
+            foreign_roots = [root_of_domain[d].did for d in domain.get("trusted_foreign_roots", [])]
             for entry in domain.get("ipmfs", []):
                 root = root_of_domain[domain["name"]]
                 child = Ipmf(
@@ -218,8 +216,8 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
             mock = MockNf(nf["name"], nf["nf_type"],
                           [Behavior.from_dict(b) for b in nf.get("behaviors", [])]).start()
             started.callback(mock.stop)
-            trusted = [str(root_of_domain[nf["domain"]].did)] + [
-                str(root_of_domain[d].did) for d in domain.get("trusted_foreign_roots", [])
+            trusted = [root_of_domain[nf["domain"]].did] + [
+                root_of_domain[d].did for d in domain.get("trusted_foreign_roots", [])
             ]
             sidecar = Sidecar(
                 name=f"{nf['name']}-sidecar",
@@ -246,7 +244,6 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
                     host=route["host"],
                     target_did=nfs[route["target"]].sidecar.did,
                     path_prefix=route.get("path_prefix", "/"),
-                    service=route.get("service", ""),
                 )
                 for route in nf.get("routes", [])
             ]

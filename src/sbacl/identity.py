@@ -1,10 +1,9 @@
 """Key pairs, DIDs, DID documents, and resolution.
 
-Two DID methods exist side by side. A peer DID (`did:speer:`) packs both
-public keys into the identifier itself, so its document can be rebuilt from
-the string alone and is immutable by construction. A registry DID
-(`did:svdr:`) is a fingerprint of the initial signing key; its document
-lives in the registry and can evolve through signed, hash-chained versions.
+A DID is a plain string, `did:svdr:` plus the base58 fingerprint of its
+initial signing key. Its document lives in the registry and evolves
+through signed, hash-chained versions, so its owner can rotate keys
+without anyone re-issuing anything.
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ from .errors import IdentityError, RegistryError, RegistryUnavailableError
 
 log = logging.getLogger(__name__)
 
-PEER_PREFIX = "did:speer:"
 REGISTRY_PREFIX = "did:svdr:"
-
-_PEER_TAG = b"\x01"
 
 DEFAULT_CACHE_MAX_AGE = 300.0
 # After a failed registry fetch, a DID with a stale copy is not fetched again
@@ -68,37 +64,25 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     )
 
 
-@dataclass(frozen=True)
-class Did:
-    method: str  # "peer" or "registry"
-    identifier: str
-
-    def __str__(self) -> str:
-        prefix = PEER_PREFIX if self.method == "peer" else REGISTRY_PREFIX
-        return prefix + self.identifier
-
-
-def parse_did(text: str) -> Did:
-    if text.startswith(PEER_PREFIX):
-        method, identifier = "peer", text[len(PEER_PREFIX):]
-    elif text.startswith(REGISTRY_PREFIX):
-        method, identifier = "registry", text[len(REGISTRY_PREFIX):]
-    else:
-        raise IdentityError(f"unrecognized DID method: {text!r}")
+def parse_did(text: str) -> str:
+    """`text` when it is `did:svdr:` plus base58; any other DID raises."""
+    if not isinstance(text, str) or not text.startswith(REGISTRY_PREFIX):
+        raise IdentityError(f"not a registry DID: {text!r}")
+    identifier = text[len(REGISTRY_PREFIX):]
     if not identifier:
         raise IdentityError(f"empty DID identifier: {text!r}")
     try:
         b58decode(identifier)
     except ValueError as exc:
         raise IdentityError(f"DID identifier is not base58: {text!r}") from exc
-    return Did(method, identifier)
+    return text
 
 
 @dataclass(frozen=True)
 class DidDocument:
     """One version of the public record for a DID."""
 
-    did: Did
+    did: str
     version: int
     signing_key: bytes
     agreement_key: bytes
@@ -107,7 +91,7 @@ class DidDocument:
 
     def to_dict(self) -> dict:
         out = {
-            "id": str(self.did),
+            "id": self.did,
             "version": self.version,
             "signingKey": b64u_encode(self.signing_key),
             "agreementKey": b64u_encode(self.agreement_key),
@@ -142,38 +126,17 @@ def document_hash(doc: DidDocument) -> bytes:
     return sha256(doc.canonical_bytes())
 
 
-def create_peer_did(kp: KeyPair) -> tuple[Did, DidDocument]:
-    """Derive an immutable DID whose document is encoded in the identifier."""
-    identifier = b58encode(_PEER_TAG + kp.signing_public + kp.agreement_public)
-    did = Did("peer", identifier)
-    doc = DidDocument(did=did, version=1, signing_key=kp.signing_public,
-                      agreement_key=kp.agreement_public)
-    return did, doc
+def _did_of(signing_key: bytes) -> str:
+    return REGISTRY_PREFIX + b58encode(sha256(signing_key)[:16])
 
 
-def extract_peer_document(did: Did | str) -> DidDocument:
-    """Rebuild a peer DID's document from the identifier alone."""
-    if isinstance(did, str):
-        did = parse_did(did)
-    if did.method != "peer":
-        raise IdentityError(f"not a peer DID: {did}")
-    raw = b58decode(did.identifier)
-    if len(raw) != 65 or raw[:1] != _PEER_TAG:
-        raise IdentityError(f"peer DID identifier has unexpected shape: {did}")
-    return DidDocument(did=did, version=1, signing_key=raw[1:33], agreement_key=raw[33:65])
-
-
-def _fingerprint(signing_key: bytes) -> str:
-    return b58encode(sha256(signing_key)[:16])
-
-
-def create_registry_did(kp: KeyPair, endpoint: str | None = None) -> tuple[Did, DidDocument]:
+def create_registry_did(kp: KeyPair, endpoint: str | None = None) -> tuple[str, DidDocument]:
     """Derive a registry-anchored DID and its initial (unregistered) document.
 
     The identifier fingerprints only the signing key, so later rotations
     never change the DID string.
     """
-    did = Did("registry", _fingerprint(kp.signing_public))
+    did = _did_of(kp.signing_public)
     doc = DidDocument(did=did, version=1, signing_key=kp.signing_public,
                       agreement_key=kp.agreement_public, service_endpoint=endpoint)
     return did, doc
@@ -223,8 +186,6 @@ def rotate_document(
     checks the produced signature against that public key, which is what
     makes rotation owner-controlled.
     """
-    if current.did.method != "registry":
-        raise IdentityError("peer DID documents are immutable and cannot be rotated")
     doc = replace(
         current,
         version=current.version + 1,
@@ -270,7 +231,7 @@ def check_successor(prev: DidDocument | None, update: SignedDocumentUpdate) -> N
             raise RegistryError("bad_version", f"a history starts at version 1, not {doc.version}")
         if doc.prev_version_hash is not None:
             raise RegistryError("bad_request", "version 1 must not carry a prev hash")
-        if doc.did != Did("registry", _fingerprint(doc.signing_key)):
+        if doc.did != _did_of(doc.signing_key):
             raise RegistryError("bad_request", "DID is not the registry fingerprint of its key")
     elif doc.did != prev.did:
         raise RegistryError("bad_request", f"version {doc.version} names {doc.did}, not {prev.did}")
@@ -310,38 +271,38 @@ class ResolutionCache:
         self._entries: dict[str, tuple[DidDocument, float | None]] = {}
         self._lock = threading.Lock()
 
-    def get(self, did: Did | str, now: float | None = None) -> DidDocument | None:
+    def get(self, did: str, now: float | None = None) -> DidDocument | None:
         """The cached document, or None when absent, expired or older than `max_age`."""
         now = time.time() if now is None else now
         with self._lock:
-            doc, stamp = self._entries.get(str(did), (None, None))
+            doc, stamp = self._entries.get(did, (None, None))
         return doc if stamp is not None and now - stamp <= self.max_age else None
 
-    def last(self, did: Did | str) -> DidDocument | None:
+    def last(self, did: str) -> DidDocument | None:
         """The cached document however old, even expired, or None when absent."""
         with self._lock:
-            return self._entries.get(str(did), (None, None))[0]
+            return self._entries.get(did, (None, None))[0]
 
     def put(self, doc: DidDocument, now: float | None = None) -> None:
         """Keep `doc` unless a later version is held; refreshes can finish out of order."""
         now = time.time() if now is None else now
         with self._lock:
-            held = self._entries.get(str(doc.did))
+            held = self._entries.get(doc.did)
             if held is None or held[0].version <= doc.version:
-                self._entries[str(doc.did)] = (doc, now)
+                self._entries[doc.did] = (doc, now)
 
-    def expire(self, did: Did | str) -> None:
+    def expire(self, did: str) -> None:
         """Make `get` miss until the next `put`, keeping the copy for `last`."""
         with self._lock:
-            if str(did) in self._entries:
-                self._entries[str(did)] = (self._entries[str(did)][0], None)
+            if did in self._entries:
+                self._entries[did] = (self._entries[did][0], None)
 
 
 class Resolver:
     """The one place DID documents and revocation status are read from.
 
-    Peer DIDs resolve from the identifier alone. Registry DIDs are served
-    from the cache while younger than `max_age`, otherwise their history is
+    A DID is served from the cache while younger than `max_age`, otherwise
+    its history is
     fetched from `registry_client`, which also answers revocation status
     checks, and must extend the cached copy under `verify_document_chain`,
     or it is refused as `unknown_did`. When the registry cannot be reached,
@@ -353,32 +314,28 @@ class Resolver:
         self.cache = ResolutionCache(max_age)
         self._retry_at: dict[str, float] = {}  # DID -> monotonic end of its hold-off
 
-    def resolve(self, did: Did | str) -> DidDocument:
-        """The DID's current document, from the cache when fresh enough.
-        Peer DIDs are never cached, so they always reach `refresh`."""
+    def resolve(self, did: str) -> DidDocument:
+        """The DID's current document, from the cache when fresh enough."""
         doc = self.cache.get(did)
-        if doc is None and time.monotonic() < self._retry_at.get(str(did), 0.0):
+        if doc is None and time.monotonic() < self._retry_at.get(did, 0.0):
             doc = self.cache.last(did)
         return doc if doc is not None else self.refresh(did)
 
-    def refresh(self, did: Did | str) -> DidDocument:
+    def refresh(self, did: str) -> DidDocument:
         """Fetch and check the DID's current document, regardless of the
         cached copy's age. A registry outage keeps any cached copy."""
-        if isinstance(did, str):
-            did = parse_did(did)
-        if did.method == "peer":
-            return extract_peer_document(did)
+        parse_did(did)
         if self.registry_client is None:
-            raise IdentityError(f"registry DID {did} needs a registry client to resolve")
+            raise IdentityError(f"DID {did} needs a registry client to resolve")
         started = time.monotonic()
         cached = self.cache.last(did)
         try:
-            history = self.registry_client.resolve_did(str(did))
+            history = self.registry_client.resolve_did(did)
         except RegistryUnavailableError as exc:
             if cached is None:
                 raise
             failed = time.monotonic()
-            self._retry_at[str(did)] = failed + OUTAGE_BACKOFF * (failed - started)
+            self._retry_at[did] = failed + OUTAGE_BACKOFF * (failed - started)
             log.warning("keeping stale document for %s: %s", did, exc)
             return cached
         try:
@@ -387,6 +344,6 @@ class Resolver:
                 raise RegistryError("bad_request", f"the history is of {doc.did}")
         except RegistryError as exc:
             raise RegistryError("unknown_did", f"{did} history refused: {exc.code}: {exc}") from exc
-        self._retry_at.pop(str(did), None)
+        self._retry_at.pop(did, None)
         self.cache.put(doc)
         return doc

@@ -41,7 +41,7 @@ from .envelope import (
 )
 from .envelope_http import EnvelopeHttpServer
 from .crypto import ed25519_sign
-from .errors import ConfigError, IssuanceError, RegistryError
+from .errors import ConfigError, IssuanceError, RegistryError, RevocationCheckError
 from .identity import KeyPair, Resolver, create_registry_did, generate_keypair, publish_document
 from .protocols import Session, SessionStore, body_field
 from .vdr import revocation_request_bytes, revoke_request_bytes
@@ -139,7 +139,7 @@ def load_config(path: str | Path) -> IpmfConfig:
             )
     if chain and seed is not None:
         kp = generate_keypair(seed)
-        own_did = str(create_registry_did(kp)[0])
+        own_did = create_registry_did(kp)[0]
         if chain[-1].subject != own_did:
             problems.append(
                 f"parent_chain terminates at {chain[-1].subject}, but the seed derives {own_did}"
@@ -179,10 +179,10 @@ class Ipmf:
         self.keys = keys if keys is not None else generate_keypair()
         self.parent_chain = list(parent_chain or [])
         self.policy = list(policy or [])
-        self.trusted_foreign_roots = {str(r) for r in trusted_foreign_roots}
+        self.trusted_foreign_roots = set(trusted_foreign_roots)
         self.allow_direct_issuance = allow_direct_issuance
         self.resolver = Resolver(registry)
-        self.did = str(create_registry_did(self.keys)[0])
+        self.did = create_registry_did(self.keys)[0]
         self.doc_version = 1
         self.revocation_registry_id: str | None = None
         self.server: EnvelopeHttpServer | None = None
@@ -292,7 +292,7 @@ class Ipmf:
             issuer_key=self.keys,
             issuer_did=self.did,
             kind=kind,
-            subject=str(subject),
+            subject=subject,
             claims=claims,
             validity=validity,
             revocation_registry_id=self.revocation_registry_id,
@@ -306,7 +306,7 @@ class Ipmf:
         vc = creds.issue_delegation(
             parent_key=self.keys,
             parent_did=self.did,
-            child_did=str(child_did),
+            child_did=child_did,
             rights=rights,
             parent_chain=self.parent_chain,
             validity=validity,
@@ -356,8 +356,12 @@ class Ipmf:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
             return msg.reply(MSG_DENY, {"reason": "malformed_message"})
-        verdict = verify_presentation(vp, session.challenge, self.trust_policy(),
-                                      self.resolver, expected_holder=session.peer)
+        try:
+            verdict = verify_presentation(vp, session.challenge, self.trust_policy(),
+                                          self.resolver, expected_holder=session.peer)
+        except (RegistryError, RevocationCheckError) as exc:
+            log.warning("%s: cannot check revocation for %s: %s", self.name, session.peer, exc)
+            return msg.reply(MSG_DENY, {"reason": "revocation_unchecked"})
         if not verdict.ok:
             log.info("%s: rejecting identification of %s: %s",
                      self.name, session.peer, verdict.failures)

@@ -23,6 +23,7 @@ thread left idle past the timeout is reaped.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 import uuid
@@ -54,7 +55,11 @@ from .errors import (
     PolicyDeniedError,
     PresentationError,
     ProtocolError,
+    RegistryError,
+    RevocationCheckError,
 )
+
+log = logging.getLogger(__name__)
 
 DEFAULT_SESSION_TIMEOUT = 10.0
 
@@ -226,7 +231,7 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
     if vp is None or peer_challenge is None:
         raise HandshakeRejectedError("malformed_reply")
     verdict = verify_presentation(vp, challenge, profile.trust, profile.resolver,
-                                  expected_holder=str(peer_did))
+                                  expected_holder=peer_did)
     if not verdict.ok:
         channel.request(reply.reply(MSG_DENY, {"failures": verdict.failures}))
         raise HandshakeRejectedError("peer_identification_failed", ",".join(verdict.failures))
@@ -287,8 +292,12 @@ class HandshakeResponder:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)
         if vp is None:
             return msg.reply(MSG_DENY, {"reason": "malformed_message"})
-        verdict = verify_presentation(vp, session.challenge, self.profile.trust,
-                                      self.profile.resolver, expected_holder=session.peer)
+        try:
+            verdict = verify_presentation(vp, session.challenge, self.profile.trust,
+                                          self.profile.resolver, expected_holder=session.peer)
+        except (RegistryError, RevocationCheckError) as exc:
+            log.warning("cannot check revocation for %s: %s", session.peer, exc)
+            return msg.reply(MSG_DENY, {"reason": "revocation_unchecked"})
         if not verdict.ok:
             return msg.reply(MSG_DENY, {"failures": verdict.failures})
         authz_claims = _extract_claims(vp, KIND_AUTHZ)

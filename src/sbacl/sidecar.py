@@ -89,7 +89,6 @@ class RouteRule:
     host: str
     target_did: str
     path_prefix: str = "/"
-    service: str = ""
 
     def matches(self, host: str, path: str) -> bool:
         return host.lower() == self.host.lower() and path.startswith(self.path_prefix)
@@ -176,8 +175,7 @@ class Sidecar:
         self.resolver = Resolver(registry, max_age=cache_max_age)
         self.trust = TrustPolicy.trusting(*trusted_roots)
 
-        did, self.current_doc = create_registry_did(self.keys)
-        self.did = str(did)
+        self.did, self.current_doc = create_registry_did(self.keys)
 
         self.authn_creds: list[VerifiableCredential] = []
         self.authz_creds: list[VerifiableCredential] = []
@@ -319,7 +317,7 @@ class Sidecar:
             self._ensure_established(peer)
             return self._tunnel(peer, method, path, headers, body, retry_left=1)
         except HandshakeRejectedError as exc:
-            return _json_error(502, "handshake_rejected", exc.reason)
+            return _json_error(502, "handshake_rejected", str(exc))
         except StalePeerKeyError as exc:
             return _json_error(502, "stale_peer_key", str(exc))
         except PeerUnreachableError as exc:

@@ -23,13 +23,7 @@ from pathlib import Path
 from . import crypto
 from .encoding import JsonLines, b64u_decode, b64u_encode, canonical_json, sha256
 from .errors import RegistryError, UnknownDidError
-from .identity import (
-    Did,
-    SignedDocumentUpdate,
-    check_successor,
-    extract_peer_document,
-    parse_did,
-)
+from .identity import SignedDocumentUpdate, check_successor
 
 
 def revocation_request_bytes(issuer: str, nonce: bytes) -> bytes:
@@ -98,7 +92,7 @@ class Registry:
     def register(self, update: SignedDocumentUpdate) -> None:
         check_successor(None, update)
         with self._lock:
-            key = str(update.document.did)
+            key = update.document.did
             if key in self._records:
                 raise RegistryError("already_exists", f"{key} is already registered")
             self._records[key] = [update]
@@ -111,23 +105,20 @@ class Registry:
             versions.append(update)
             self._log.append({"event": "update", "update": update.to_dict()})
 
-    def resolve_did(self, did: Did | str) -> list[SignedDocumentUpdate]:
+    def resolve_did(self, did: str) -> list[SignedDocumentUpdate]:
         """The DID's signed version history, oldest first."""
         with self._lock:
             return list(self._history(did))
 
-    def _history(self, did: Did | str) -> list[SignedDocumentUpdate]:
-        versions = self._records.get(str(did))
+    def _history(self, did: str) -> list[SignedDocumentUpdate]:
+        versions = self._records.get(did)
         if versions is None:
-            raise UnknownDidError(str(did))
+            raise UnknownDidError(did)
         return versions
 
-    def _signing_key_of(self, did_str: str) -> bytes:
-        did = parse_did(did_str)
-        if did.method == "peer":
-            return extract_peer_document(did).signing_key
+    def _signing_key_of(self, did: str) -> bytes:
         with self._lock:
-            return self._history(did_str)[-1].document.signing_key
+            return self._history(did)[-1].document.signing_key
 
     # -- revocation registries ---------------------------------------------------
 

@@ -11,7 +11,7 @@ import json
 
 from .encoding import b64u_decode, b64u_encode
 from .errors import IdentityError, RegistryError, RegistryUnavailableError, UnknownDidError
-from .identity import Did, SignedDocumentUpdate
+from .identity import SignedDocumentUpdate
 from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .vdr import Registry
 
@@ -47,7 +47,7 @@ def _make_handler(registry: Registry):
                 self.send_json(201, {"ok": True})
             elif method == "PUT" and len(parts) == 2 and parts[0] == "dids":
                 update = SignedDocumentUpdate.from_dict(json.loads(self.read_body()))
-                if str(update.document.did) != parts[1]:
+                if update.document.did != parts[1]:
                     raise RegistryError("bad_request", "path DID does not match body")
                 registry.update(update)
                 self.send_json(200, {"ok": True})
@@ -115,11 +115,11 @@ class RegistryHttpClient:
     def update(self, update: SignedDocumentUpdate) -> None:
         self._request("PUT", f"/dids/{update.document.did}", update.to_dict())
 
-    def resolve_did(self, did: Did | str) -> list[SignedDocumentUpdate]:
+    def resolve_did(self, did: str) -> list[SignedDocumentUpdate]:
         try:
             body = self._request("GET", f"/dids/{did}")
         except RegistryError as exc:
-            raise UnknownDidError(str(did)) if exc.code == "unknown_did" else exc
+            raise UnknownDidError(did) if exc.code == "unknown_did" else exc
         versions = body.get("versions") if isinstance(body, dict) else None
         if not isinstance(versions, list):
             raise IdentityError(f"registry answered {did} with no version list")

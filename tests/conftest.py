@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from sbacl.credentials import KIND_AUTHN, issue_credential, issue_delegation
+from sbacl.encoding import b58encode
 from sbacl.httputil import _TrackingServer
-from sbacl.identity import Resolver, create_peer_did, generate_keypair
+from sbacl.identity import Resolver, create_registry_did, generate_keypair, self_sign_document
 from sbacl.vdr import Registry
 from sbacl.vdr_http import RegistryHttpClient, RegistryServer
 
@@ -82,23 +83,31 @@ def leaked_files(action, directory) -> list[str]:
     ]
 
 
-def peer_identity(seed: bytes | None = None):
-    """A fresh peer-DID identity: (keys, did string)."""
-    keys = generate_keypair(seed)
-    return keys, str(create_peer_did(keys)[0])
+def registered_identity(registry):
+    """A fresh identity whose DID is registered in `registry`: (keys, did)."""
+    keys = generate_keypair()
+    did, doc = create_registry_did(keys)
+    registry.register(self_sign_document(doc, keys))
+    return keys, did
 
 
-def build_hierarchy(depth: int, rights_per_level: list | None = None):
-    """Root plus `depth` delegated issuers, all on peer DIDs.
+def speer_shaped_did(keys) -> str:
+    """The DID the removed self-contained `did:speer` method derived from
+    `keys`, base58(0x01 ‖ signing key ‖ agreement key): no registry knows it."""
+    return "did:speer:" + b58encode(b"\x01" + keys.signing_public + keys.agreement_public)
+
+
+def build_hierarchy(registry, depth: int, rights_per_level: list | None = None):
+    """Root plus `depth` delegated issuers, all registered in `registry`.
 
     Returns (root_did, issuer_keys, issuer_did, chain) where `chain` is what
     the terminal issuer embeds in the credentials it signs. Depth 0 means
     the root itself issues.
     """
-    root_keys, root_did = peer_identity()
+    root_keys, root_did = registered_identity(registry)
     keys, did, chain = root_keys, root_did, []
     for level in range(depth):
-        child_keys, child_did = peer_identity()
+        child_keys, child_did = registered_identity(registry)
         rights = rights_per_level[level] if rights_per_level else None
         if rights is None:
             rights = ("issue_authn", "issue_authz", "delegate")

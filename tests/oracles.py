@@ -104,19 +104,6 @@ def _canonical(obj) -> bytes:
                       ensure_ascii=False).encode("utf-8")
 
 
-def _signing_key_from_peer_did(did: str) -> bytes | None:
-    prefix = "did:speer:"
-    if not did.startswith(prefix):
-        return None
-    try:
-        raw = b58decode(did[len(prefix):])
-    except ValueError:
-        return None
-    if len(raw) != 65 or raw[0] != 0x01:
-        return None
-    return raw[1:33]
-
-
 def _verify(pub: bytes | None, sig_b64u: str, data: bytes) -> bool:
     import base64
     if pub is None:
@@ -140,12 +127,14 @@ def _rights_of(vc_dict: dict) -> set[str] | None:
 REQUIRED = {"AuthN": "issue_authn", "AuthZ": "issue_authz", "Del": "delegate"}
 
 
-def chain_is_valid(vc_dict: dict, trusted_roots: set[str]) -> bool:
+def chain_is_valid(vc_dict: dict, trusted_roots: set[str],
+                   signing_keys: dict[str, bytes]) -> bool:
     """Walk the embedded chain of a credential dict, recomputing everything.
 
     Works purely on the serialized form: signatures are recomputed over the
-    dict minus its proof, public keys come out of the peer DIDs themselves,
-    and right subsets are compared link by link down to the credential kind.
+    dict minus its proof, each issuer's public key comes from `signing_keys`
+    (DID -> raw Ed25519 key, as the caller generated them), and right
+    subsets are compared link by link down to the credential kind.
     """
     chain = vc_dict.get("delegation_chain", [])
     if not chain:
@@ -157,7 +146,7 @@ def chain_is_valid(vc_dict: dict, trusted_roots: set[str]) -> bool:
         if link.get("kind") != "Del":
             return False
         unsigned = {k: v for k, v in link.items() if k != "proof"}
-        issuer_key = _signing_key_from_peer_did(link["issuer"])
+        issuer_key = signing_keys.get(link["issuer"])
         if not _verify(issuer_key, link.get("proof", ""), _canonical(unsigned)):
             return False
         rights = _rights_of(link)

@@ -67,17 +67,18 @@ from sbacl.harness import (
     launch_topology,
     run_scenario,
 )
-from sbacl.identity import Resolver, create_peer_did, generate_keypair
+from sbacl.identity import Resolver, generate_keypair
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import LocalService, RouteRule, Sidecar
 from sbacl.vdr import Registry, revocation_request_bytes, revoke_request_bytes
 from sbacl.vdr_http import RegistryServer
 
-from conftest import build_hierarchy, peer_identity
+from conftest import build_hierarchy, registered_identity
 from oracles import chain_is_valid
 
-RESOLVER = Resolver()  # peer DIDs resolve without any registry
+REGISTRY = Registry()
+RESOLVER = Resolver(REGISTRY)
 SEED = 20260816
 B58 = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 CHAIN_CODES = frozenset(
@@ -115,8 +116,8 @@ def test_criterion_1_credential_round_trip_and_tamper():
     cycles = 1000
     for _ in range(cycles):
         depth = rng.randrange(6)
-        root_did, issuer_keys, issuer_did, chain = build_hierarchy(depth)
-        holder_keys, holder_did = peer_identity()
+        root_did, issuer_keys, issuer_did, chain = build_hierarchy(REGISTRY, depth)
+        holder_keys, holder_did = registered_identity(REGISTRY)
         kind = rng.choice((KIND_AUTHN, KIND_AUTHZ))
         claims = ({"nf_type": rng.choice(("AMF", "SMF", "UDM"))}
                   if kind == KIND_AUTHN
@@ -136,8 +137,8 @@ def test_criterion_1_credential_round_trip_and_tamper():
     bases = []
     for depth in range(6):
         for _ in range(2):
-            root_did, issuer_keys, issuer_did, chain = build_hierarchy(depth)
-            holder_keys, holder_did = peer_identity()
+            root_did, issuer_keys, issuer_did, chain = build_hierarchy(REGISTRY, depth)
+            holder_keys, holder_did = registered_identity(REGISTRY)
             vc = issue_credential(issuer_keys, issuer_did, KIND_AUTHN, holder_did,
                                   {"nf_type": "AMF"}, chain=chain)
             challenge = fresh_challenge()
@@ -204,10 +205,10 @@ def test_criterion_1_credential_round_trip_and_tamper():
 
 def _hierarchy_with_keys(rng, depth, rights_per_level=None):
     """Like conftest.build_hierarchy but keeps every level's keypair."""
-    levels = [peer_identity()]
+    levels = [registered_identity(REGISTRY)]
     chain = []
     for i in range(depth):
-        child = peer_identity()
+        child = registered_identity(REGISTRY)
         rights = (rights_per_level[i] if rights_per_level
                   else tuple(sorted(ALL_RIGHTS)))
         link = issue_delegation(levels[i][0], levels[i][1], child[1], rights,
@@ -263,7 +264,7 @@ def test_criterion_2_chain_oracle_agreement():
             rights_per_level = None
         levels, chain = _hierarchy_with_keys(rng, depth, rights_per_level)
         issuer_keys, issuer_did = levels[-1]
-        holder_keys, holder_did = peer_identity()
+        holder_keys, holder_did = registered_identity(REGISTRY)
         vc = issue_credential(issuer_keys, issuer_did, kind, holder_did,
                               {"nf_type": "AMF"}, chain=chain)
         trusted = {levels[0][1]}
@@ -271,7 +272,7 @@ def test_criterion_2_chain_oracle_agreement():
         vc = _clone_vc(vc)
         links = vc.delegation_chain
         if name == "untrusted_root":
-            trusted = {peer_identity()[1]}
+            trusted = {registered_identity(REGISTRY)[1]}
         elif name == "wrong_key":
             i = rng.randrange(depth)
             _resign(links[i], generate_keypair())
@@ -308,7 +309,8 @@ def test_criterion_2_chain_oracle_agreement():
         verdict = verify_presentation(vp, challenge, TrustPolicy.trusting(*trusted),
                                       RESOLVER)
         library_ok = not (set(verdict.failures) & CHAIN_CODES)
-        oracle_ok = chain_is_valid(vc.to_dict(), set(trusted))
+        oracle_ok = chain_is_valid(vc.to_dict(), set(trusted),
+                                   {did: keys.signing_public for keys, did in levels})
 
         assert library_ok == (name == "valid"), (name, depth, verdict.failures)
         if name == "valid":
@@ -334,9 +336,9 @@ def _clone_env(env):
 
 def test_criterion_3_envelope_security_properties():
     rng = random.Random(SEED + 2)
-    alice_keys, alice_did = peer_identity()
-    bob_keys = generate_keypair()
-    _, bob_doc = create_peer_did(bob_keys)
+    alice_keys, alice_did = registered_identity(REGISTRY)
+    bob_keys, bob_did = registered_identity(REGISTRY)
+    bob_doc = RESOLVER.resolve(bob_did)
 
     for size in (1, 1024, 1 << 20):
         body = {"d": "a" * size}
@@ -416,7 +418,7 @@ def test_criterion_3_envelope_security_properties():
 
 
 def test_criterion_4_three_condition_verification(registry):
-    root_keys, root_did = peer_identity()
+    root_keys, root_did = registered_identity(registry)
     nonce = b"\x11" * 16
     registry_id = registry.create_revocation_registry(
         root_did, nonce,
@@ -425,7 +427,7 @@ def test_criterion_4_three_condition_verification(registry):
     policy = TrustPolicy(trusted_roots=frozenset([root_did]))
 
     def presentation():
-        holder_keys, holder_did = peer_identity()
+        holder_keys, holder_did = registered_identity(registry)
         vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                               {"nf_type": "AMF"}, revocation_registry_id=registry_id)
         challenge = fresh_challenge()
@@ -438,7 +440,7 @@ def test_criterion_4_three_condition_verification(registry):
 
     # condition 1: issuer material is wrong (signed by someone else entirely)
     vp, challenge = presentation()
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(registry)
     forged = _clone_vc(vp.credentials[0])
     forged.subject = holder_did
     _resign(forged, generate_keypair())

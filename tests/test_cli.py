@@ -11,7 +11,7 @@ from sbacl.identity import create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule
 from sbacl.mocknf import MockNf
 
-from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files, peer_identity
+from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files, registered_identity
 
 SEED = bytes(range(32))
 
@@ -45,10 +45,10 @@ def test_help_lists_subcommands(group, subcommands):
 # --- ipmf -----------------------------------------------------------------------
 
 
-def test_delegate_writes_a_credential_file(tmp_path):
+def test_delegate_writes_a_credential_file(registry, tmp_path):
     config = write_json(tmp_path / "root.json",
                         {"name": "root", "seed": b64u_encode(SEED)})
-    _, child_did = peer_identity()
+    _, child_did = registered_identity(registry)
     out = tmp_path / "delegation.json"
 
     result = invoke(ipmf, "delegate", "--config", config, "--child", child_did,
@@ -63,10 +63,10 @@ def test_delegate_writes_a_credential_file(tmp_path):
     assert vc.proof is not None
 
 
-def test_delegate_prints_to_stdout_without_out(tmp_path):
+def test_delegate_prints_to_stdout_without_out(registry, tmp_path):
     config = write_json(tmp_path / "root.json",
                         {"name": "root", "seed": b64u_encode(SEED)})
-    _, child_did = peer_identity()
+    _, child_did = registered_identity(registry)
     result = invoke(ipmf, "delegate", "--config", config,
                     "--child", child_did, "--rights", "delegate",
                     "--validity", 3600)
@@ -76,7 +76,7 @@ def test_delegate_prints_to_stdout_without_out(tmp_path):
 
 
 def test_delegate_and_revoke_leave_no_file_open(registry_http, tmp_path):
-    _, server, client = registry_http
+    registry, server, client = registry_http
     log = tmp_path / "issued.jsonl"
     root = Ipmf(name="root", registry=client, keys=generate_keypair(SEED))
     root.bootstrap(serve=False)
@@ -86,7 +86,7 @@ def test_delegate_and_revoke_leave_no_file_open(registry_http, tmp_path):
         "registry_url": server.base_url,
         "issuance_log": str(log),
     })
-    _, child_did = peer_identity()
+    _, child_did = registered_identity(registry)
     results = []
 
     def delegate():
@@ -111,7 +111,7 @@ def test_bad_config_is_rejected_with_all_problems(tmp_path):
         "policy": [{"kind": "NotAKind"}],
     })
     result = invoke(ipmf, "delegate", "--config", config,
-                    "--child", "did:speer:x", "--rights", "delegate")
+                    "--child", "did:svdr:x", "--rights", "delegate")
     assert result.exit_code != 0
     assert isinstance(result.exception, ConfigError)
     assert len(result.exception.problems) == 2
@@ -144,12 +144,12 @@ def test_run_reports_identity(registry_http, tmp_path, quiet_serve):
 
 
 def test_revoke_flips_registry_status(registry_http, tmp_path):
-    _, server, client = registry_http
+    registry, server, client = registry_http
     log = tmp_path / "issued.jsonl"
     root = Ipmf(name="root", registry=client, keys=generate_keypair(SEED),
                 allow_direct_issuance=True, issuance_log=log)
     root.bootstrap(serve=False)
-    _, holder_did = peer_identity()
+    _, holder_did = registered_identity(registry)
     vc = root.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
     ids = [vc.credential_id]
     assert client.check_status(root.revocation_registry_id, ids) == {vc.credential_id: "active"}
@@ -191,7 +191,7 @@ def test_sidecar_run_provisions_over_the_wire(registry_http, tmp_path, quiet_ser
     nf = MockNf("AMF", "AMF", []).start()
 
     keys = generate_keypair(SEED)
-    did = str(create_registry_did(keys)[0])
+    did = create_registry_did(keys)[0]
     bootstrap = issuer.issue_credential_to(
         did, KIND_AUTHN, {"nf_type": "AMF", "bootstrap": "true"})
     cred_path = write_json(tmp_path / "bootstrap.json", bootstrap.to_dict())

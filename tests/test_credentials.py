@@ -26,12 +26,13 @@ from sbacl.errors import (
     RegistryUnavailableError,
     RevocationCheckError,
 )
-from sbacl.identity import Resolver
+from sbacl.identity import Resolver, generate_keypair
 from sbacl.vdr import Registry
 
-from conftest import build_hierarchy, issue_to_holder, peer_identity
+from conftest import build_hierarchy, issue_to_holder, registered_identity, speer_shaped_did
 
-RESOLVER = Resolver()  # peer DIDs only; no registry behind it
+REGISTRY = Registry()
+RESOLVER = Resolver(REGISTRY)
 
 
 def verify(vp, challenge, roots, **kwargs):
@@ -40,8 +41,8 @@ def verify(vp, challenge, roots, **kwargs):
 
 
 def presentation_for(depth=0, kind=KIND_AUTHN, claims=None, validity=None):
-    root_did, issuer_keys, issuer_did, chain = build_hierarchy(depth)
-    holder_keys, holder_did = peer_identity()
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(REGISTRY, depth)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did,
                          kind=kind, claims=claims, validity=validity)
     challenge = fresh_challenge()
@@ -79,7 +80,7 @@ def test_wrong_challenge_is_rejected():
 
 def test_untrusted_root_is_rejected():
     _, vp, challenge = presentation_for(depth=1)
-    _, stranger = peer_identity()
+    _, stranger = registered_identity(REGISTRY)
     verdict = verify(vp, challenge, [stranger])
     assert not verdict.ok
     assert "chain_untrusted" in verdict.failures
@@ -93,8 +94,8 @@ def test_tampered_vp_proof():
 
 
 def test_tampered_vc_proof():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     bad_vc = dataclasses.replace(vc, proof=bytes(b ^ 1 for b in vc.proof))
     challenge = fresh_challenge()
@@ -106,9 +107,9 @@ def test_tampered_vc_proof():
 
 
 def test_subject_must_match_holder():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
-    other_keys, other_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
+    other_keys, other_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, other_did, {"nf_type": "AMF"})
     challenge = fresh_challenge()
     with pytest.raises(PresentationError):
@@ -116,8 +117,8 @@ def test_subject_must_match_holder():
 
 
 def test_expiry_honours_clock_skew():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     now = int(time.time())
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                           {"nf_type": "AMF"}, validity=10, issued_at=now - 50)
@@ -134,20 +135,20 @@ def test_expiry_honours_clock_skew():
 
 
 def test_revocation_required_without_client_raises():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                           {"nf_type": "AMF"}, revocation_registry_id="r" * 64)
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
     policy = TrustPolicy(trusted_roots=frozenset([root_did]))
     with pytest.raises(RevocationCheckError):
-        verify_presentation(vp, challenge, policy, RESOLVER)
+        verify_presentation(vp, challenge, policy, Resolver())
 
 
 def test_vc_without_revocation_ref_passes_vacuously():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
@@ -156,10 +157,10 @@ def test_vc_without_revocation_ref_passes_vacuously():
 
 
 def test_issuance_refuses_rights_escalation():
-    root_keys, root_did = peer_identity()
-    child_keys, child_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    child_keys, child_did = registered_identity(REGISTRY)
     link = issue_delegation(root_keys, root_did, child_did, ["issue_authn"])
-    grandchild_keys, grandchild_did = peer_identity()
+    grandchild_keys, grandchild_did = registered_identity(REGISTRY)
     with pytest.raises(IssuanceError) as err:
         issue_delegation(child_keys, child_did, grandchild_did,
                          ["issue_authn", "issue_authz"], parent_chain=[link])
@@ -167,12 +168,12 @@ def test_issuance_refuses_rights_escalation():
 
 
 def test_issuance_requires_matching_chain_terminal():
-    root_keys, root_did = peer_identity()
-    child_keys, child_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    child_keys, child_did = registered_identity(REGISTRY)
     link = issue_delegation(root_keys, root_did, child_did,
                             ["issue_authn", "delegate"])
-    impostor_keys, impostor_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    impostor_keys, impostor_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     with pytest.raises(IssuanceError) as err:
         issue_credential(impostor_keys, impostor_did, KIND_AUTHN, holder_did,
                          {"nf_type": "AMF"}, chain=[link])
@@ -180,10 +181,10 @@ def test_issuance_requires_matching_chain_terminal():
 
 
 def test_issuance_requires_the_right_for_the_kind():
-    root_keys, root_did = peer_identity()
-    child_keys, child_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    child_keys, child_did = registered_identity(REGISTRY)
     link = issue_delegation(root_keys, root_did, child_did, ["issue_authn"])
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(REGISTRY)
     with pytest.raises(IssuanceError) as err:
         issue_credential(child_keys, child_did, KIND_AUTHZ, holder_did,
                          {"producer": "UDM"}, chain=[link])
@@ -197,9 +198,9 @@ def test_chain_rights_narrow_then_verify():
         ("issue_authn",),
     ]
     root_did, issuer_keys, issuer_did, chain = build_hierarchy(
-        3, rights_per_level=rights_per_level
+        REGISTRY,         3, rights_per_level=rights_per_level
     )
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
     challenge = fresh_challenge()
     vp = build_presentation(holder_keys, holder_did, [vc], challenge)
@@ -213,9 +214,9 @@ def test_chain_rights_narrow_then_verify():
 def test_forged_chain_rights_detected_at_verification():
     # a link whose claims were widened after signing
     root_did, issuer_keys, issuer_did, chain = build_hierarchy(
-        2, rights_per_level=[("issue_authn", "delegate"), ("issue_authn",)]
+        REGISTRY,         2, rights_per_level=[("issue_authn", "delegate"), ("issue_authn",)]
     )
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
     tampered_link = dataclasses.replace(
         chain[1], claims={"rights": "delegate,issue_authn,issue_authz"}
@@ -229,8 +230,8 @@ def test_forged_chain_rights_detected_at_verification():
 
 
 def test_multiple_credentials_verified_individually():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     good = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     bad = dataclasses.replace(
         issue_credential(root_keys, root_did, KIND_AUTHZ, holder_did, {"producer": "UDM"}),
@@ -246,24 +247,18 @@ def test_registry_outage_is_not_a_verdict():
     from sbacl.vdr_http import RegistryHttpClient
 
     dead = Resolver(RegistryHttpClient("http://127.0.0.1:1", timeout=0.2))
-    root_keys, root_did = peer_identity()
-    holder_keys_kp, holder_kp_did = peer_identity()
-    vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_kp_did, {"nf_type": "AMF"})
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
+    vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     challenge = fresh_challenge()
-    vp = build_presentation(holder_keys_kp, holder_kp_did, [vc], challenge)
-
-    # swap the holder for a registry DID so verification must resolve it
-    from sbacl.identity import create_registry_did, generate_keypair
-    reg_keys = generate_keypair()
-    reg_did, _ = create_registry_did(reg_keys)
-    forged = dataclasses.replace(vp, holder=str(reg_did))
+    vp = build_presentation(holder_keys, holder_did, [vc], challenge)
     with pytest.raises(RegistryUnavailableError):
-        verify_presentation(forged, challenge, TrustPolicy.trusting(root_did), dead)
+        verify_presentation(vp, challenge, TrustPolicy.trusting(root_did), dead)
 
 
 def test_challenge_shape_enforced():
-    holder_keys, holder_did = peer_identity()
-    root_keys, root_did = peer_identity()
+    holder_keys, holder_did = registered_identity(REGISTRY)
+    root_keys, root_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
     with pytest.raises(PresentationError):
         build_presentation(holder_keys, holder_did, [vc], b"short")
@@ -276,13 +271,13 @@ def test_revoked_credential_fails(registry):
     from sbacl.crypto import ed25519_sign
     from sbacl.vdr import revocation_request_bytes, revoke_request_bytes
 
-    root_keys, root_did = peer_identity()
+    root_keys, root_did = registered_identity(registry)
     nonce = b"c" * 16
     signature = ed25519_sign(root_keys.signing_secret,
                              revocation_request_bytes(root_did, nonce))
     registry_id = registry.create_revocation_registry(root_did, nonce, signature)
 
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(registry)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                           {"nf_type": "AMF"}, revocation_registry_id=registry_id)
     challenge = fresh_challenge()
@@ -299,11 +294,31 @@ def test_revoked_credential_fails(registry):
     assert after.failures == ["revoked"]
 
 
+def test_a_speer_did_signs_nothing_that_verifies():
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys = generate_keypair()
+    holder_did = speer_shaped_did(holder_keys)
+    vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
+    challenge = fresh_challenge()
+    vp = build_presentation(holder_keys, holder_did, [vc], challenge)
+    assert verify(vp, challenge, [root_did]).failures == ["bad_vp_signature"]
+
+    # nor does a trusted root of that method sign a delegation link
+    speer_root_keys = generate_keypair()
+    speer_root = speer_shaped_did(speer_root_keys)
+    issuer_keys, issuer_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
+    link = issue_delegation(speer_root_keys, speer_root, issuer_did, ["issue_authn"])
+    vc = issue_to_holder(issuer_keys, issuer_did, [link], holder_did)
+    vp = build_presentation(holder_keys, holder_did, [vc], challenge)
+    assert verify(vp, challenge, [speer_root]).failures == ["chain_broken"]
+
+
 def test_handcrafted_subject_mismatch_detected():
     # an attacker skips build_presentation's guard and signs anyway
-    root_keys, root_did = peer_identity()
-    victim_keys, victim_did = peer_identity()
-    thief_keys, thief_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    victim_keys, victim_did = registered_identity(REGISTRY)
+    thief_keys, thief_did = registered_identity(REGISTRY)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, victim_did, {"nf_type": "AMF"})
     challenge = fresh_challenge()
     from sbacl.crypto import ed25519_sign
@@ -319,7 +334,7 @@ def test_handcrafted_subject_mismatch_detected():
 
 def test_expected_holder_is_checked_only_on_an_otherwise_valid_presentation():
     root_did, vp, challenge = presentation_for()
-    _, stranger = peer_identity()
+    _, stranger = registered_identity(REGISTRY)
     assert verify(vp, challenge, [root_did], expected_holder=vp.holder).ok
     assert verify(vp, challenge, [root_did],
                   expected_holder=stranger).failures == ["subject_mismatch"]
@@ -379,18 +394,18 @@ def test_rights_subset_property(data):
     terminal_can_issue = "issue_authn" in rights_per_level[-1]
 
     if legal and terminal_can_issue:
-        root_did, keys, did, chain = build_hierarchy(depth, rights_per_level=rights_per_level)
-        holder_keys, holder_did = peer_identity()
+        root_did, keys, did, chain = build_hierarchy(REGISTRY, depth, rights_per_level=rights_per_level)
+        holder_keys, holder_did = registered_identity(REGISTRY)
         vc = issue_to_holder(keys, did, chain, holder_did)
         challenge = fresh_challenge()
         vp = build_presentation(holder_keys, holder_did, [vc], challenge)
         assert verify(vp, challenge, [root_did]).ok
     elif not legal:
         with pytest.raises(IssuanceError):
-            build_hierarchy(depth, rights_per_level=rights_per_level)
+            build_hierarchy(REGISTRY, depth, rights_per_level=rights_per_level)
     else:
-        root_did, keys, did, chain = build_hierarchy(depth, rights_per_level=rights_per_level)
-        holder_keys, holder_did = peer_identity()
+        root_did, keys, did, chain = build_hierarchy(REGISTRY, depth, rights_per_level=rights_per_level)
+        holder_keys, holder_did = registered_identity(REGISTRY)
         with pytest.raises(IssuanceError):
             issue_to_holder(keys, did, chain, holder_did)
 
@@ -404,8 +419,8 @@ def warm(vp, challenge, roots):
 
 
 def test_claims_changed_after_a_warm_verify_still_fail():
-    root_did, issuer_keys, issuer_did, chain = build_hierarchy(1)
-    holder_keys, holder_did = peer_identity()
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(REGISTRY, 1)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
     challenge = fresh_challenge()
     warm(build_presentation(holder_keys, holder_did, [vc], challenge), challenge, [root_did])
@@ -420,9 +435,9 @@ def test_widened_link_after_a_warm_verify_still_breaks_the_chain():
     from sbacl.crypto import ed25519_sign
 
     root_did, issuer_keys, issuer_did, chain = build_hierarchy(
-        2, rights_per_level=[("issue_authn", "delegate"), ("issue_authn",)]
+        REGISTRY,         2, rights_per_level=[("issue_authn", "delegate"), ("issue_authn",)]
     )
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(REGISTRY)
     vc = issue_to_holder(issuer_keys, issuer_did, chain, holder_did)
     challenge = fresh_challenge()
     warm(build_presentation(holder_keys, holder_did, [vc], challenge), challenge, [root_did])
@@ -445,7 +460,7 @@ def test_rotated_issuer_key_fails_an_old_credential_after_a_warm_verify(registry
     registry.register(self_sign_document(doc, issuer_keys))
     resolver = Resolver(registry)
     policy = TrustPolicy.trusting(issuer_did)
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(registry)
     old = issue_credential(issuer_keys, issuer_did, KIND_AUTHN, holder_did, {"nf_type": "AMF"})
 
     def present(vc):
@@ -466,8 +481,8 @@ def test_rotated_issuer_key_fails_an_old_credential_after_a_warm_verify(registry
 def test_a_warm_presentation_costs_one_ed25519_verify(monkeypatch):
     from sbacl import crypto
 
-    root_did, issuer_keys, issuer_did, chain = build_hierarchy(2)
-    holder_keys, holder_did = peer_identity()
+    root_did, issuer_keys, issuer_did, chain = build_hierarchy(REGISTRY, 2)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     creds = [
         issue_to_holder(issuer_keys, issuer_did, chain, holder_did),
         issue_to_holder(issuer_keys, issuer_did, chain, holder_did, kind=KIND_AUTHZ,
@@ -481,6 +496,10 @@ def test_a_warm_presentation_costs_one_ed25519_verify(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(crypto, "ed25519_verify", counting)
+
+    # the documents are resolved first: their history checks are not counted
+    for did in (root_did, chain[1].issuer, issuer_did, holder_did):
+        RESOLVER.resolve(did)
 
     def present():
         challenge = fresh_challenge()
@@ -509,11 +528,12 @@ class CountingRegistry(Registry):
 
 
 def revocable_issuer(registry, nonce=b"c" * 16):
-    """A peer-DID issuer with its own revocation registry: (keys, did, registry id)."""
+    """An issuer registered in `registry` with its own revocation registry:
+    (keys, did, registry id)."""
     from sbacl.crypto import ed25519_sign
     from sbacl.vdr import revocation_request_bytes
 
-    keys, did = peer_identity()
+    keys, did = registered_identity(registry)
     signature = ed25519_sign(keys.signing_secret, revocation_request_bytes(did, nonce))
     return keys, did, registry.create_revocation_registry(did, nonce, signature)
 
@@ -548,7 +568,7 @@ def present_to(registry, holder, creds, roots):
 def test_revoking_only_the_last_of_four_credentials_fails_the_presentation():
     registry = CountingRegistry()
     issuer = revocable_issuer(registry)
-    holder = peer_identity()
+    holder = registered_identity(registry)
     creds = authn_and_three_authz(issuer, holder[1])
     assert present_to(registry, holder, creds, [issuer[1]]).ok
 
@@ -559,7 +579,7 @@ def test_revoking_only_the_last_of_four_credentials_fails_the_presentation():
 
 def test_status_is_read_once_per_registry_per_presentation():
     registry = CountingRegistry()
-    holder = peer_identity()
+    holder = registered_identity(registry)
     first = revocable_issuer(registry)
     creds = authn_and_three_authz(first, holder[1])
 
@@ -581,7 +601,7 @@ def test_unknown_revocation_registry_still_raises():
 
     registry = Registry()
     keys, did, _ = revocable_issuer(registry)
-    holder = peer_identity()
+    holder = registered_identity(registry)
     vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
                           revocation_registry_id="f" * 64)
     with pytest.raises(RegistryError) as err:
@@ -592,13 +612,18 @@ def test_unknown_revocation_registry_still_raises():
 def test_revocation_registry_outage_still_raises():
     from sbacl.vdr_http import RegistryHttpClient
 
-    keys, did = peer_identity()
-    holder = peer_identity()
+    class StatusOutage(Registry):
+        def check_status(self, registry_id, credential_ids):
+            dead = RegistryHttpClient("http://127.0.0.1:1", timeout=0.2)
+            return dead.check_status(registry_id, credential_ids)
+
+    registry = StatusOutage()
+    keys, did = registered_identity(registry)
+    holder = registered_identity(registry)
     vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
                           revocation_registry_id="r" * 64)
-    dead = RegistryHttpClient("http://127.0.0.1:1", timeout=0.2)
     with pytest.raises(RegistryUnavailableError):
-        present_to(dead, holder, [vc], [did])
+        present_to(registry, holder, [vc], [did])
 
 
 def test_a_status_answer_missing_an_id_is_not_a_verdict():
@@ -608,7 +633,7 @@ def test_a_status_answer_missing_an_id_is_not_a_verdict():
 
     registry = Forgetful()
     keys, did, registry_id = revocable_issuer(registry)
-    holder = peer_identity()
+    holder = registered_identity(registry)
     vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
                           revocation_registry_id=registry_id)
     with pytest.raises(RevocationCheckError):

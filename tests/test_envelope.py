@@ -25,15 +25,18 @@ from sbacl.errors import (
     StaleKeyError,
     WireFormatError,
 )
-from sbacl.identity import Resolver, create_peer_did, generate_keypair
+from sbacl.identity import Resolver
+from sbacl.vdr import Registry
 
-RESOLVER = Resolver()
+from conftest import registered_identity
+
+REGISTRY = Registry()
+RESOLVER = Resolver(REGISTRY)
 
 
 def make_peer():
-    keys = generate_keypair()
-    did, doc = create_peer_did(keys)
-    return keys, str(did), doc
+    keys, did = registered_identity(REGISTRY)
+    return keys, did, RESOLVER.resolve(did)
 
 
 @pytest.fixture()

@@ -7,10 +7,11 @@ import pytest
 from sbacl.envelope import MSG_ACK, ProtocolMessage, decode_wire, encode_wire, pack, unpack
 from sbacl.envelope_http import ENVELOPE_PATH, EnvelopeHttpServer
 from sbacl.errors import RegistryUnavailableError
-from sbacl.identity import Resolver, create_registry_did
+from sbacl.identity import Resolver
+from sbacl.vdr import Registry
 from sbacl.vdr_http import RegistryHttpClient
 
-from conftest import peer_identity
+from conftest import registered_identity
 
 OCTETS = {"Content-Type": "application/octet-stream"}
 
@@ -18,11 +19,13 @@ OCTETS = {"Content-Type": "application/octet-stream"}
 @pytest.fixture()
 def served():
     """An envelope server whose dispatch is swappable, and a client identity."""
-    keys, did = peer_identity()
-    owner = SimpleNamespace(did=did, keys=keys, doc_version=1, resolver=Resolver())
+    registry = Registry()
+    keys, did = registered_identity(registry)
+    owner = SimpleNamespace(did=did, keys=keys, doc_version=1, resolver=Resolver(registry))
     world = SimpleNamespace(
         owner=owner,
-        client=peer_identity(),
+        registry=registry,
+        client=registered_identity(registry),
         dispatch=lambda msg, sender: msg.reply(MSG_ACK, {"echo": msg.body}),
     )
     server = EnvelopeHttpServer(owner, lambda msg, sender: world.dispatch(msg, sender))
@@ -36,7 +39,8 @@ def served():
 def sealed(world, body):
     client_keys, client_did = world.client
     msg = ProtocolMessage(MSG_ACK, body)
-    return msg, pack(msg, client_keys, client_did, Resolver().resolve(world.owner.did))
+    return msg, pack(msg, client_keys, client_did,
+                     Resolver(world.registry).resolve(world.owner.did))
 
 
 def post(world, path, data):
@@ -53,7 +57,7 @@ def test_wrong_path_leaves_a_keep_alive_connection_usable(served):
 
     status, body = post(served, ENVELOPE_PATH, wire)
     assert status == 200
-    reply, sender = unpack(decode_wire(body), served.client[0], Resolver())
+    reply, sender = unpack(decode_wire(body), served.client[0], Resolver(served.registry))
     assert sender == served.owner.did
     assert reply.thread_id == msg.thread_id
     assert reply.body == {"echo": {"n": 1}}
@@ -77,10 +81,9 @@ def test_reply_that_cannot_be_sealed_is_an_internal_error(served):
 
 def test_sender_unresolvable_in_a_registry_outage_is_unavailable(served):
     served.owner.resolver = Resolver(RegistryHttpClient("http://127.0.0.1:1", timeout=0.5))
-    client_keys = served.client[0]
-    sender = str(create_registry_did(client_keys)[0])
+    client_keys, sender = served.client
     env = pack(ProtocolMessage(MSG_ACK, {}), client_keys, sender,
-               Resolver().resolve(served.owner.did))
+               Resolver(served.registry).resolve(served.owner.did))
     status, body = post(served, ENVELOPE_PATH, encode_wire(env))
     assert status == 503
     assert json.loads(body) == {"error": "registry_unavailable"}

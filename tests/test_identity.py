@@ -15,10 +15,8 @@ from sbacl.identity import (
     ResolutionCache,
     Resolver,
     SignedDocumentUpdate,
-    create_peer_did,
     create_registry_did,
     document_hash,
-    extract_peer_document,
     generate_keypair,
     parse_did,
     publish_document,
@@ -27,52 +25,34 @@ from sbacl.identity import (
     verify_document_chain,
 )
 
-from conftest import peer_identity
 from oracles import document_chain_is_valid
 
 
-def test_peer_did_roundtrip():
-    keys = generate_keypair()
-    did, created_doc = create_peer_did(keys)
-    assert str(did).startswith("did:speer:")
-    doc = extract_peer_document(did)
-    assert doc == created_doc
-    assert doc.signing_key == keys.signing_public
-    assert doc.agreement_key == keys.agreement_public
-    assert doc.version == 1
-    assert doc.service_endpoint is None
-
-
 @given(st.binary(min_size=32, max_size=32))
-def test_peer_did_is_deterministic_in_keys(seed):
+def test_registry_did_is_deterministic_in_keys(seed):
     keys = generate_keypair(seed)
-    assert str(create_peer_did(keys)[0]) == str(create_peer_did(keys)[0])
+    did = create_registry_did(keys)[0]
+    assert did == create_registry_did(generate_keypair(seed))[0]
+    assert parse_did(did) == did
 
 
 def test_parse_did_rejects_garbage():
-    for bad in ("", "did:speer", "did:other:abc", "urn:uuid:x", "did::"):
+    # a DID of any other method is refused like any other garbage
+    for bad in ("", "did:speer", "did:speer:3yZe7d", "did:other:abc", "urn:uuid:x", "did::",
+                "did:svdr:", "did:svdr:0OIl", None, 5):
         with pytest.raises(IdentityError):
             parse_did(bad)
-
-
-def test_extract_rejects_wrong_method_and_payload():
-    keys = generate_keypair()
-    registry_did, _ = create_registry_did(keys)
-    with pytest.raises(IdentityError):
-        extract_peer_document(registry_did)
-    with pytest.raises(IdentityError):
-        extract_peer_document(parse_did("did:speer:3yZe7d"))
 
 
 def test_registry_did_fingerprint_is_bound_to_signing_key():
     keys = generate_keypair()
     did1, doc1 = create_registry_did(keys)
     did2, _ = create_registry_did(keys, "http://127.0.0.1:1")
-    assert str(did1) == str(did2)
-    assert str(did1).startswith("did:svdr:")
+    assert did1 == did2
+    assert did1.startswith("did:svdr:")
     assert doc1.version == 1 and doc1.prev_version_hash is None
     other = create_registry_did(generate_keypair())[0]
-    assert str(other) != str(did1)
+    assert other != did1
 
 
 def test_document_dict_uses_pinned_key_names():
@@ -221,7 +201,7 @@ def test_document_chain_oracle_agreement():
         shortest = 2 if name in ("wrong_prev_hash", "did_switch", "truncation") else 1
         keys, genuine = _genuine_history(rng, rng.randint(shortest, 4))
         served, held = _mutated(rng, name, keys, genuine)
-        did = str(genuine[0].document.did)
+        did = genuine[0].document.did
         client = _Serving(genuine[:held])
         resolver = Resolver(client)
         if held:
@@ -249,17 +229,10 @@ def test_document_chain_oracle_agreement():
           f"({', '.join(f'{k}={v}' for k, v in sorted(tally.items()))})")
 
 
-def test_peer_documents_cannot_rotate():
-    keys = generate_keypair()
-    doc = create_peer_did(keys)[1]
-    with pytest.raises(IdentityError):
-        rotate_document(doc, generate_keypair(), keys.signing_secret)
-
-
 def test_resolution_cache_expires_entries():
     cache = ResolutionCache(max_age=0.05)
     keys = generate_keypair()
-    did, doc = create_peer_did(keys)
+    did, doc = create_registry_did(keys)
     cache.put(doc, now=100.0)
     assert cache.get(did, now=100.04) is doc
     assert cache.get(did, now=100.06) is None
@@ -294,20 +267,14 @@ def test_publish_document_registers_then_republishes(registry):
     assert moved.version == 2
     assert moved.service_endpoint == "http://127.0.0.1:2"
     assert moved.signing_key == keys.signing_public
-    assert registry.resolve_did(str(moved.did))[-1].document == moved
-
-
-def test_resolve_peer_needs_no_registry():
-    keys, did = peer_identity()
-    doc = Resolver().resolve(did)
-    assert doc.signing_key == keys.signing_public
+    assert registry.resolve_did(moved.did)[-1].document == moved
 
 
 def test_resolver_uses_cache_until_forced(registry):
     keys = generate_keypair()
     _, doc = create_registry_did(keys, "http://127.0.0.1:9")
     registry.register(self_sign_document(doc, keys))
-    did = str(doc.did)
+    did = doc.did
 
     resolver = Resolver(registry)
     first = resolver.resolve(did)
@@ -325,14 +292,14 @@ def test_resolver_keeps_a_cached_copy_through_a_registry_outage(registry_http, c
     keys = generate_keypair()
     _, doc = create_registry_did(keys, "http://127.0.0.1:9")
     registry.register(self_sign_document(doc, keys))
-    unseen = str(create_registry_did(generate_keypair())[0])
+    unseen = create_registry_did(generate_keypair())[0]
 
     resolver = Resolver(client, max_age=0.0)
-    assert resolver.resolve(str(doc.did)) == doc
+    assert resolver.resolve(doc.did) == doc
     server.stop()
     with caplog.at_level(logging.WARNING, logger="sbacl.identity"):
-        assert resolver.resolve(str(doc.did)) == doc
-        assert resolver.refresh(str(doc.did)) == doc
+        assert resolver.resolve(doc.did) == doc
+        assert resolver.refresh(doc.did) == doc
     assert "keeping stale document" in caplog.text
     with pytest.raises(RegistryUnavailableError):
         resolver.resolve(unseen)
@@ -373,17 +340,17 @@ def test_resolver_holds_off_a_registry_that_just_failed(monkeypatch):
     _, doc = create_registry_did(keys)
     client = _SlowOutage([self_sign_document(doc, keys)], clock, wait=10.0)
     resolver = Resolver(client, max_age=0.0)
-    assert resolver.resolve(str(doc.did)) == doc
+    assert resolver.resolve(doc.did) == doc
     client.down = True
     clock.now += 1  # the cached copy is past max_age
-    assert resolver.resolve(str(doc.did)) == doc  # waits once, keeps the copy
+    assert resolver.resolve(doc.did) == doc  # waits once, keeps the copy
     assert client.calls == 2
     clock.now += OUTAGE_BACKOFF * client.wait - 1
-    assert resolver.resolve(str(doc.did)) == doc  # held off: no second wait
+    assert resolver.resolve(doc.did) == doc  # held off: no second wait
     assert client.calls == 2
     clock.now += 1
     client.down = False
-    assert resolver.resolve(str(doc.did)) == doc  # the hold-off is over
+    assert resolver.resolve(doc.did) == doc  # the hold-off is over
     assert client.calls == 3
 
 
@@ -392,11 +359,11 @@ def test_resolve_unknown_registry_did(registry):
     keys = generate_keypair()
     did, _ = create_registry_did(keys)
     with pytest.raises(UnknownDidError):
-        resolver.resolve(str(did))
+        resolver.resolve(did)
 
 
 def test_resolve_registry_did_without_client_fails():
     keys = generate_keypair()
     did, _ = create_registry_did(keys)
     with pytest.raises(IdentityError):
-        Resolver().resolve(str(did))
+        Resolver().resolve(did)

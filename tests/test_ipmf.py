@@ -1,4 +1,5 @@
 import json
+import logging
 import time
 
 import pytest
@@ -27,7 +28,7 @@ from sbacl.identity import Resolver, create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule, load_config
 from sbacl.protocols import DEFAULT_SESSION_TIMEOUT, run_issuance
 
-from conftest import peer_identity
+from conftest import registered_identity
 
 
 class DirectChannel:
@@ -58,7 +59,7 @@ def make_root(registry, name="root", **kwargs):
 def make_child(registry, root, rights=("issue_authn", "issue_authz", "delegate"),
                policy=None, **kwargs):
     keys = generate_keypair()
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, list(rights))
     child = Ipmf("child", registry, keys=keys, parent_chain=[delegation],
                  policy=policy if policy is not None else list(AUTHN_RULES), **kwargs)
@@ -74,7 +75,7 @@ def domain(registry):
 
 
 def enrolled_holder(child):
-    holder_keys, holder_did = peer_identity()
+    holder_keys, holder_did = registered_identity(child.registry)
     bootstrap = child.issue_credential_to(
         holder_did, KIND_AUTHN, {"nf_type": "AMF", "bootstrap": "true"})
     return holder_keys, holder_did, bootstrap
@@ -88,13 +89,13 @@ def test_root_only_delegates_by_default(registry):
     assert root.is_root
     assert root.trust_root == root.did
     with pytest.raises(IssuanceError) as err:
-        root.issue_credential_to("did:speer:x", KIND_AUTHN, {"nf_type": "AMF"})
+        root.issue_credential_to("did:svdr:x", KIND_AUTHN, {"nf_type": "AMF"})
     assert err.value.code == "root_issuance_disabled"
 
 
 def test_root_direct_issuance_opt_in(registry):
     root = make_root(registry, allow_direct_issuance=True)
-    _, holder_did = peer_identity()
+    _, holder_did = registered_identity(registry)
     vc = root.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
     assert vc.issuer == root.did
     assert vc.revocation is not None
@@ -117,7 +118,7 @@ def test_child_issues_under_the_root(domain):
 def test_child_cannot_exceed_its_delegation(registry):
     root = make_root(registry)
     child = make_child(registry, root, rights=("issue_authn",))
-    _, holder_did = peer_identity()
+    _, holder_did = registered_identity(registry)
     with pytest.raises(IssuanceError) as err:
         child.issue_credential_to(holder_did, KIND_AUTHZ, {"producer": "UDM"})
     assert err.value.code == "insufficient_rights"
@@ -127,7 +128,7 @@ def test_child_cannot_exceed_its_delegation(registry):
 
 def test_trust_policy_includes_foreign_roots(registry):
     root = make_root(registry)
-    _, foreign = peer_identity()
+    _, foreign = registered_identity(registry)
     child = make_child(registry, root)
     child.trusted_foreign_roots.add(foreign)
     policy = child.trust_policy()
@@ -158,13 +159,13 @@ def test_issuance_log_survives_restart(registry, tmp_path):
     log_path = tmp_path / "issued.jsonl"
     root = make_root(registry)
     keys = generate_keypair()
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn"])
 
     first = Ipmf("child", registry, keys=keys, parent_chain=[delegation],
                  issuance_log=log_path)
     first.bootstrap(serve=False)
-    _, holder_did = peer_identity()
+    _, holder_did = registered_identity(registry)
     vc = first.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
     revreg = first.revocation_registry_id
     first.shutdown()
@@ -183,11 +184,11 @@ def test_issuance_log_survives_restart(registry, tmp_path):
 def test_revocation_without_registry(registry):
     root = make_root(registry)
     keys = generate_keypair()
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn"])
     child = Ipmf("child", registry, keys=keys, parent_chain=[delegation])
     # not bootstrapped: no revocation registry yet
-    _, holder_did = peer_identity()
+    _, holder_did = registered_identity(registry)
     vc = child.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
     with pytest.raises(IssuanceError) as err:
         child.revoke_credential(vc.credential_id)
@@ -259,14 +260,29 @@ def test_protocol_refuses_delegation_kind(domain):
 
 def test_protocol_rejects_strangers(domain):
     registry, root, child = domain
-    holder_keys, holder_did = peer_identity()
-    rogue_keys, rogue_did = peer_identity()
+    holder_keys, holder_did = registered_identity(registry)
+    rogue_keys, rogue_did = registered_identity(registry)
     rogue_cred = issue_credential(rogue_keys, rogue_did, KIND_AUTHN, holder_did,
                                   {"nf_type": "AMF", "bootstrap": "true"})
     channel = DirectChannel(child.handle, holder_did)
     with pytest.raises(IdentificationRejectedError):
         run_issuance(channel, holder_keys, holder_did, [rogue_cred], KIND_AUTHN,
                      {"nf_type": "AMF"})
+
+
+def test_protocol_unknown_revocation_registry_is_denied(domain, caplog):
+    registry, root, child = domain
+    holder_keys, holder_did = registered_identity(registry)
+    bootstrap = issue_credential(child.keys, child.did, KIND_AUTHN, holder_did,
+                                 {"nf_type": "AMF", "bootstrap": "true"},
+                                 revocation_registry_id="00" * 32, chain=child.parent_chain)
+    channel = DirectChannel(child.handle, holder_did)
+    with caplog.at_level(logging.INFO), pytest.raises(PolicyDeniedError) as err:
+        run_issuance(channel, holder_keys, holder_did, [bootstrap], KIND_AUTHN,
+                     {"nf_type": "AMF"})
+    assert "revocation_unchecked" in str(err.value)
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert len(child.sessions) == 0
 
 
 def test_protocol_insufficient_delegated_rights(registry):
@@ -308,7 +324,7 @@ def test_protocol_unknown_thread_and_sequencing(domain):
     opened = child.handle(ProtocolMessage(MSG_OFFER, {"kind": KIND_AUTHN, "claims": {}}),
                           holder_did)
     hijack = presentation(opened)
-    assert child.handle(hijack, "did:speer:other").body["reason"] == "unknown_thread"
+    assert child.handle(hijack, "did:svdr:other").body["reason"] == "unknown_thread"
     assert child.handle(hijack, holder_did).type != MSG_DENY
 
 
@@ -400,7 +416,7 @@ def test_load_config_minimal(tmp_path):
 def test_load_config_reports_every_problem(tmp_path, registry):
     root = make_root(registry)
     keys = generate_keypair()
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn"])
     payload = {
         "name": "broken",
@@ -423,7 +439,7 @@ def test_load_config_reports_every_problem(tmp_path, registry):
 def test_load_config_seed_chain_mismatch(tmp_path, registry):
     root = make_root(registry)
     keys = generate_keypair()
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn"])
     other_seed = b"\x07" * 32
     payload = {
@@ -441,17 +457,17 @@ def test_from_config_builds_matching_identity(tmp_path, registry):
     root = make_root(registry)
     seed = os.urandom(32)
     keys = generate_keypair(seed)
-    child_did = str(create_registry_did(keys)[0])
+    child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn", "delegate"])
     payload = {
         "name": "derived",
         "seed": b64u_encode(seed),
         "parent_chain": [delegation.to_dict()],
         "policy": [{"kind": KIND_AUTHN, "match": {}, "request_match": {}, "grant": {}}],
-        "trusted_foreign_roots": ["did:speer:someforeignroot"],
+        "trusted_foreign_roots": ["did:svdr:someforeignroot"],
     }
     config = load_config(write_config(tmp_path, payload))
     ipmf = Ipmf.from_config(config, registry)
     assert ipmf.did == child_did
     assert ipmf.trust_root == root.did
-    assert "did:speer:someforeignroot" in ipmf.trusted_foreign_roots
+    assert "did:svdr:someforeignroot" in ipmf.trusted_foreign_roots

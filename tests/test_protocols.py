@@ -32,6 +32,7 @@ from sbacl.errors import (
     ProtocolError,
 )
 from sbacl.identity import Resolver
+from sbacl.vdr import Registry
 from sbacl.protocols import (
     HandshakeProfile,
     HandshakeResponder,
@@ -42,9 +43,10 @@ from sbacl.protocols import (
     run_issuance,
 )
 
-from conftest import peer_identity
+from conftest import registered_identity
 
-RESOLVER = Resolver()
+REGISTRY = Registry()
+RESOLVER = Resolver(REGISTRY)
 
 
 class DirectChannel:
@@ -146,7 +148,7 @@ class MiniIssuer:
                 return msg.reply(MSG_DENY, {"reason": "policy"})
             subject = vp.holder
             if self.misbehave == "wrong_subject":
-                _, subject = peer_identity()
+                _, subject = registered_identity(REGISTRY)
             vc = issue_credential(self.keys, self.did, self.offer["kind"], subject,
                                   self.offer["claims"])
             if self.misbehave == "garbled_credential":
@@ -157,8 +159,8 @@ class MiniIssuer:
 
 @pytest.fixture()
 def issuance_world():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    root_keys, root_did = registered_identity(REGISTRY)
+    holder_keys, holder_did = registered_identity(REGISTRY)
     bootstrap = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                                  {"nf_type": "AMF", "bootstrap": "true"})
     return root_keys, root_did, holder_keys, holder_did, bootstrap
@@ -202,7 +204,7 @@ def test_issuance_identification_denied(issuance_world):
 
 def test_issuance_untrusted_bootstrap_is_denied(issuance_world):
     root_keys, root_did, holder_keys, holder_did, _ = issuance_world
-    rogue_keys, rogue_did = peer_identity()
+    rogue_keys, rogue_did = registered_identity(REGISTRY)
     rogue_cred = issue_credential(rogue_keys, rogue_did, KIND_AUTHN, holder_did,
                                   {"nf_type": "AMF"})
     issuer = MiniIssuer(root_keys, root_did, root_did)
@@ -247,9 +249,9 @@ def test_issuance_malformed_issuer_reply_is_a_protocol_error(issuance_world, mis
 
 class HandshakeWorld:
     def __init__(self, consumer_nf="AMF", producer_nf="UDM", authz_producer="UDM"):
-        self.root_keys, self.root_did = peer_identity()
-        self.prod_keys, self.prod_did = peer_identity()
-        self.cons_keys, self.cons_did = peer_identity()
+        self.root_keys, self.root_did = registered_identity(REGISTRY)
+        self.prod_keys, self.prod_did = registered_identity(REGISTRY)
+        self.cons_keys, self.cons_did = registered_identity(REGISTRY)
         trust = TrustPolicy.trusting(self.root_did)
         self.prod_authn = issue_credential(self.root_keys, self.root_did, KIND_AUTHN,
                                            self.prod_did, {"nf_type": producer_nf})
@@ -313,7 +315,7 @@ def test_handshake_establishes_both_views():
 
 def test_handshake_rejects_untrusted_producer():
     world = HandshakeWorld()
-    rogue_keys, rogue_did = peer_identity()
+    rogue_keys, rogue_did = registered_identity(REGISTRY)
     rogue_authn = issue_credential(rogue_keys, rogue_did, KIND_AUTHN,
                                    world.prod_did, {"nf_type": "UDM"})
     world.responder.profile.identity_vp = lambda ch: build_presentation(
@@ -366,7 +368,7 @@ def test_handshake_consumer_without_authz():
 def test_handshake_replayed_presentation_is_pinned_to_peer():
     world = HandshakeWorld()
     # a second consumer in the same domain, fully credentialed by the same root
-    thief_keys, thief_did = peer_identity()
+    thief_keys, thief_did = registered_identity(REGISTRY)
     thief_authn = issue_credential(world.root_keys, world.root_did, KIND_AUTHN,
                                    thief_did, {"nf_type": "AMF"})
     thief_authz = issue_credential(world.root_keys, world.root_did, KIND_AUTHZ, thief_did,
@@ -388,7 +390,7 @@ def test_handshake_unknown_thread_and_wrong_sender():
 
     # open a real session, then continue it claiming a different sender
     hijack = world.presentation(world.open_thread())
-    reply = world.responder.handle(hijack, "did:speer:somebodyelse")
+    reply = world.responder.handle(hijack, "did:svdr:Somebody2")
     assert reply.type == MSG_DENY
     assert reply.body["reason"] == "unknown_thread"
     # the owner's session is untouched and still completes
@@ -481,7 +483,7 @@ class ResponderMachine(RuleBasedStateMachine):
         super().__init__()
         self.world = HandshakeWorld()
         root_keys, root_did = self.world.root_keys, self.world.root_did
-        other_keys, other_did = peer_identity()
+        other_keys, other_did = registered_identity(REGISTRY)
         self.wallets = {
             self.world.cons_did: (self.world.cons_keys,
                                   [self.world.cons_authn, self.world.cons_authz]),

@@ -1,4 +1,5 @@
-"""The README's Python examples keep running against the current API."""
+"""The README's Python examples and the names `sbacl` exports keep matching
+the current API."""
 
 import os
 import re
@@ -20,3 +21,8 @@ def test_readme_python_examples_run():
         result = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                                 env=dict(os.environ, PYTHONPATH=path), timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_name_exists():
+    assert [name for name in sbacl.__all__ if not hasattr(sbacl, name)] == []
+    assert len(set(sbacl.__all__)) == len(sbacl.__all__)

@@ -18,14 +18,15 @@ from sbacl.credentials import (
 from sbacl.envelope import REGISTERED_TYPES, MSG_TUNNEL_REQUEST, ProtocolMessage, pack
 from sbacl.harness import benchmark, launch_topology
 from sbacl.identity import (
-    create_peer_did,
+    Resolver,
     create_registry_did,
     generate_keypair,
     rotate_document,
     self_sign_document,
 )
+from sbacl.vdr import Registry as DidRegistry
 
-from conftest import MINI_SCRIPT, MINI_TOPOLOGY, build_hierarchy, peer_identity
+from conftest import MINI_SCRIPT, MINI_TOPOLOGY, build_hierarchy, registered_identity
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -47,13 +48,14 @@ def _check(name: str, instance) -> None:
 
 
 def test_credential_schema_accepts_minimal_and_full_shapes():
-    root_keys, root_did = peer_identity()
-    holder_keys, holder_did = peer_identity()
+    dids = DidRegistry()
+    root_keys, root_did = registered_identity(dids)
+    holder_keys, holder_did = registered_identity(dids)
     minimal = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
                                {"nf_type": "AMF"})
     _check("credential.schema.json", minimal.to_dict())
 
-    _, issuer_keys, issuer_did, chain = build_hierarchy(2)
+    _, issuer_keys, issuer_did, chain = build_hierarchy(dids, 2)
     full = issue_credential(issuer_keys, issuer_did, KIND_AUTHZ, holder_did,
                             {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"},
                             validity=3600, revocation_registry_id="rr-1", chain=chain)
@@ -61,8 +63,9 @@ def test_credential_schema_accepts_minimal_and_full_shapes():
 
 
 def test_presentation_schema_accepts_library_output():
-    _, issuer_keys, issuer_did, chain = build_hierarchy(1)
-    holder_keys, holder_did = peer_identity()
+    dids = DidRegistry()
+    _, issuer_keys, issuer_did, chain = build_hierarchy(dids, 1)
+    holder_keys, holder_did = registered_identity(dids)
     creds = [
         issue_credential(issuer_keys, issuer_did, KIND_AUTHN, holder_did,
                          {"nf_type": "AMF"}, chain=chain),
@@ -75,9 +78,9 @@ def test_presentation_schema_accepts_library_output():
 
 
 def test_envelope_schema_accepts_packed_envelope():
-    sender_keys = generate_keypair()
-    sender_did, _ = create_peer_did(sender_keys)
-    _, recipient_doc = create_peer_did(generate_keypair())
+    dids = DidRegistry()
+    sender_keys, sender_did = registered_identity(dids)
+    recipient_doc = Resolver(dids).resolve(registered_identity(dids)[1])
     env = pack(ProtocolMessage(MSG_TUNNEL_REQUEST, {"method": "GET"}),
                sender_keys, sender_did, recipient_doc)
     _check("envelope.schema.json", env.protected_header)
@@ -113,17 +116,17 @@ def test_report_schema_accepts_benchmark_output():
 
 @pytest.mark.parametrize("name,instance", [
     ("credential.schema.json",
-     {"credential_id": "x", "kind": "AuthN", "issuer": "did:speer:2a",
-      "subject": "did:speer:2a", "claims": {}, "issued_at": 1}),  # no proof
+     {"credential_id": "x", "kind": "AuthN", "issuer": "did:svdr:2a",
+      "subject": "did:svdr:2a", "claims": {}, "issued_at": 1}),  # no proof
     ("credential.schema.json",
      {"credential_id": "c0ffee00-0000-4000-8000-000000000000", "kind": "Badge",
-      "issuer": "did:speer:2a", "subject": "did:speer:2a", "claims": {},
+      "issuer": "did:svdr:2a", "subject": "did:svdr:2a", "claims": {},
       "issued_at": 1, "proof": "aa"}),  # unknown kind
     ("presentation.schema.json",
-     {"holder": "did:speer:2a", "credentials": [], "challenge": "A" * 43,
+     {"holder": "did:svdr:2a", "credentials": [], "challenge": "A" * 43,
       "created_at": 1, "proof": "aa"}),  # empty credential list
     ("envelope.schema.json",
-     {"sender": "did:speer:2a", "recipient": "did:speer:2a", "recipient_key_version": 1,
+     {"sender": "did:svdr:2a", "recipient": "did:svdr:2a", "recipient_key_version": 1,
       "content_encryption": "A256GCM", "nonce": "A" * 32}),  # wrong alg
     ("message.schema.json",
      {"type": "acl/2.0/offer", "thread_id": "t", "body": {}}),  # unknown version

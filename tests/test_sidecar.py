@@ -8,9 +8,11 @@ from dataclasses import replace
 import pytest
 import requests
 
-from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, issue_credential
+from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, fresh_challenge, issue_credential
+from sbacl.encoding import b64u_encode
 from sbacl.envelope import (
     MAX_FRAME,
+    MSG_PRESENT_REQUEST,
     MSG_TUNNEL_REQUEST,
     MSG_TUNNEL_RESPONSE,
     ProtocolMessage,
@@ -24,6 +26,8 @@ from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import Association, AssociationStore, LocalService, RouteRule, Sidecar
 from sbacl.vdr import Registry
 from sbacl.vdr_http import RegistryHttpClient, RegistryServer
+
+from conftest import speer_shaped_did
 
 
 @pytest.fixture()
@@ -509,7 +513,7 @@ def test_forget_peer_keeps_rollback_protection(world):
 
 
 def test_unregistered_route_target_is_unknown_peer(world):
-    ghost = str(create_registry_did(generate_keypair())[0])
+    ghost = create_registry_did(generate_keypair())[0]
     world.consumer.routes.insert(0, RouteRule(host="UDM-9", target_did=ghost))
     resp = world.call("GET", "/nudm-sdm/v2/data", headers={"Host": "UDM-9"})
     assert ghost in _refused_as(resp, 502, "unknown_peer")
@@ -523,6 +527,29 @@ def test_unknown_revocation_registry_is_a_registry_refusal(world):
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert "unknown_registry" in _refused_as(resp, 502, "registry_refused")
     assert world.producer_nf.request_count() == 0
+
+
+def test_unknown_revocation_registry_of_the_consumer_is_denied(world, caplog):
+    world.consumer.authz_creds[:] = [issue_credential(
+        world.root.keys, world.root.did, KIND_AUTHZ, world.consumer.did,
+        {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"},
+        revocation_registry_id="00" * 32)]
+    with caplog.at_level(logging.INFO):
+        resp = world.call("GET", "/nudm-sdm/v2/data")
+    assert "revocation_unchecked" in _refused_as(resp, 502, "handshake_rejected")
+    assert world.producer_nf.request_count() == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def test_envelope_from_a_speer_did_is_an_unknown_sender(world):
+    keys = generate_keypair()
+    sender = speer_shaped_did(keys)
+    msg = ProtocolMessage(MSG_PRESENT_REQUEST, {
+        "challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]})
+    wire = encode_wire(pack(msg, keys, sender, world.producer.current_doc))
+    resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
+    _refused_as(resp, 400, "unknown_sender")
+    assert len(world.producer.responder.sessions) == 0
 
 
 def test_unanswered_revocation_status_is_unchecked(world):
@@ -652,34 +679,34 @@ def test_reply_over_the_frame_limit_is_refused_without_a_traceback(world, caplog
 def test_association_store_last_record_wins(tmp_path):
     path = tmp_path / "assoc.jsonl"
     store = AssociationStore(path)
-    first = Association(peer="did:speer:p", direction="outbound",
+    first = Association(peer="did:svdr:p", direction="outbound",
                         authz_claims=[{"producer": "AUSF"}])
-    second = Association(peer="did:speer:p", direction="outbound",
+    second = Association(peer="did:svdr:p", direction="outbound",
                          authz_claims=[{"producer": "PCF"}])
-    other = Association(peer="did:speer:q", direction="inbound",
+    other = Association(peer="did:svdr:q", direction="inbound",
                         authz_claims=[{"producer": "UDM"}])
     for assoc in (first, second, other):
         store.append(assoc)
 
     loaded = AssociationStore(path).load()
-    assert loaded[("did:speer:p", "outbound")].authz_claims == [{"producer": "PCF"}]
-    assert loaded[("did:speer:q", "inbound")].authz_claims == [{"producer": "UDM"}]
+    assert loaded[("did:svdr:p", "outbound")].authz_claims == [{"producer": "PCF"}]
+    assert loaded[("did:svdr:q", "inbound")].authz_claims == [{"producer": "UDM"}]
 
 
 def test_association_store_loads_records_that_carry_established(tmp_path):
     path = tmp_path / "assoc.jsonl"
-    path.write_text(json.dumps({"peer": "did:speer:p", "direction": "inbound",
+    path.write_text(json.dumps({"peer": "did:svdr:p", "direction": "inbound",
                                 "established": True, "authz_claims": [{"producer": "UDM"}],
                                 "created_at": 1}) + "\n")
     loaded = AssociationStore(path).load()
-    assert loaded == {("did:speer:p", "inbound"): Association(
-        peer="did:speer:p", direction="inbound", authz_claims=[{"producer": "UDM"}],
+    assert loaded == {("did:svdr:p", "inbound"): Association(
+        peer="did:svdr:p", direction="inbound", authz_claims=[{"producer": "UDM"}],
         created_at=1)}
 
 
 def test_association_store_corruption_degrades_to_empty(tmp_path):
     path = tmp_path / "assoc.jsonl"
-    good = Association(peer="did:speer:p", direction="outbound")
+    good = Association(peer="did:svdr:p", direction="outbound")
     AssociationStore(path).append(good)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{this is not json\n")
@@ -689,11 +716,11 @@ def test_association_store_corruption_degrades_to_empty(tmp_path):
 def test_association_store_drops_only_a_torn_last_record(tmp_path):
     path = tmp_path / "assoc.jsonl"
     store = AssociationStore(path)
-    for peer in ("did:speer:p", "did:speer:q", "did:speer:r"):
+    for peer in ("did:svdr:p", "did:svdr:q", "did:svdr:r"):
         store.append(Association(peer=peer, direction="outbound"))
     path.write_bytes(path.read_bytes()[:-40])  # a crash in the middle of the last append
     loaded = AssociationStore(path).load()
-    assert set(loaded) == {("did:speer:p", "outbound"), ("did:speer:q", "outbound")}
+    assert set(loaded) == {("did:svdr:p", "outbound"), ("did:svdr:q", "outbound")}
 
 
 def test_association_store_disabled(tmp_path):

@@ -13,7 +13,7 @@ from sbacl.identity import (
 )
 from sbacl.vdr import Registry, revocation_request_bytes, revoke_request_bytes
 
-from conftest import leaked_files, peer_identity
+from conftest import leaked_files, registered_identity, speer_shaped_did
 
 
 def register_identity(registry, endpoint=None):
@@ -25,7 +25,7 @@ def register_identity(registry, endpoint=None):
 
 def test_register_and_resolve(registry):
     keys, doc = register_identity(registry, "http://127.0.0.1:9")
-    history = registry.resolve_did(str(doc.did))
+    history = registry.resolve_did(doc.did)
     assert [update.document for update in history] == [doc]
 
 
@@ -122,8 +122,8 @@ def make_revreg(registry, keys, issuer_did, nonce=b"n" * 16):
     return registry.create_revocation_registry(issuer_did, nonce, signature)
 
 
-def test_revocation_lifecycle_with_peer_issuer(registry):
-    keys, issuer = peer_identity()
+def test_revocation_lifecycle(registry):
+    keys, issuer = registered_identity(registry)
     registry_id = make_revreg(registry, keys, issuer)
     assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
 
@@ -138,7 +138,7 @@ def test_revocation_lifecycle_with_peer_issuer(registry):
 
 
 def test_revocation_registry_creation_replay(registry):
-    keys, issuer = peer_identity()
+    keys, issuer = registered_identity(registry)
     make_revreg(registry, keys, issuer)
     with pytest.raises(RegistryError) as err:
         make_revreg(registry, keys, issuer)
@@ -148,7 +148,7 @@ def test_revocation_registry_creation_replay(registry):
 
 
 def test_revoke_requires_issuer_signature(registry):
-    keys, issuer = peer_identity()
+    keys, issuer = registered_identity(registry)
     registry_id = make_revreg(registry, keys, issuer)
     intruder = generate_keypair()
     signature = ed25519_sign(intruder.signing_secret,
@@ -157,6 +157,14 @@ def test_revoke_requires_issuer_signature(registry):
         registry.revoke(registry_id, "cred-1", signature)
     assert err.value.code == "not_issuer"
     assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
+
+
+def test_only_a_registered_issuer_creates_a_revocation_registry(registry):
+    keys = generate_keypair()
+    # unregistered, and of the removed self-contained method
+    for issuer in (create_registry_did(keys)[0], speer_shaped_did(keys)):
+        with pytest.raises(UnknownDidError):
+            make_revreg(registry, keys, issuer)
 
 
 def test_unknown_revocation_registry(registry):
@@ -174,10 +182,10 @@ def test_log_replay_restores_state(tmp_path):
     keys, doc = register_identity(registry)
     new_keys = generate_keypair()
     registry.update(rotate_document(doc, new_keys, keys.signing_secret))
-    peer_keys, peer_did = peer_identity()
-    registry_id = make_revreg(registry, peer_keys, peer_did)
+    # the issuer signs with the key its latest version names
+    registry_id = make_revreg(registry, new_keys, doc.did)
     registry.revoke(registry_id, "cred-9",
-                    ed25519_sign(peer_keys.signing_secret,
+                    ed25519_sign(new_keys.signing_secret,
                                  revoke_request_bytes(registry_id, "cred-9")))
 
     reloaded = Registry(log_path=log)
@@ -192,11 +200,11 @@ def test_reopening_a_registry_appends_nothing_to_its_log(tmp_path):
     log = tmp_path / "registry.jsonl"
     registry = Registry(log_path=log)
     keys, doc = register_identity(registry)
-    registry.update(rotate_document(doc, generate_keypair(), keys.signing_secret))
-    peer_keys, peer_did = peer_identity()
-    registry_id = make_revreg(registry, peer_keys, peer_did)
+    new_keys = generate_keypair()
+    registry.update(rotate_document(doc, new_keys, keys.signing_secret))
+    registry_id = make_revreg(registry, new_keys, doc.did)
     registry.revoke(registry_id, "cred-1",
-                    ed25519_sign(peer_keys.signing_secret,
+                    ed25519_sign(new_keys.signing_secret,
                                  revoke_request_bytes(registry_id, "cred-1")))
     written = log.read_text()
     assert len(written.splitlines()) == 4
@@ -284,17 +292,17 @@ def test_http_client_mirrors_registry(registry_http):
     assert [v.document.version for v in client.resolve_did(doc.did)] == [1, 2]
 
     with pytest.raises(UnknownDidError):
-        client.resolve_did(str(create_registry_did(generate_keypair())[0]))
+        client.resolve_did(create_registry_did(generate_keypair())[0])
 
-    peer_keys, peer_did = peer_identity()
+    issuer_keys, issuer_did = registered_identity(registry)
     nonce = b"q" * 16
     registry_id = client.create_revocation_registry(
-        peer_did, nonce,
-        ed25519_sign(peer_keys.signing_secret, revocation_request_bytes(peer_did, nonce)),
+        issuer_did, nonce,
+        ed25519_sign(issuer_keys.signing_secret, revocation_request_bytes(issuer_did, nonce)),
     )
     assert client.check_status(registry_id, ["c1"]) == {"c1": "active"}
     client.revoke(registry_id, "c1",
-                  ed25519_sign(peer_keys.signing_secret,
+                  ed25519_sign(issuer_keys.signing_secret,
                                revoke_request_bytes(registry_id, "c1")))
     assert client.check_status(registry_id, ["c1", "c2"]) == {"c1": "revoked", "c2": "active"}
 
@@ -349,9 +357,9 @@ def test_http_put_path_must_match_body(registry_http):
     assert resp.json()["error"] == "bad_request"
 
 def test_http_status_read_takes_a_list_of_ids(registry_http):
-    _, _, client = registry_http
-    peer_keys, peer_did = peer_identity()
-    registry_id = make_revreg(client, peer_keys, peer_did)
+    registry, _, client = registry_http
+    issuer_keys, issuer_did = registered_identity(registry)
+    registry_id = make_revreg(client, issuer_keys, issuer_did)
 
     import requests
     for ids in ("c1", [1, 2], None):
