@@ -1,24 +1,25 @@
 """Authenticated-encryption envelopes between two DIDs.
 
-The construction is sender-authenticated ("authcrypt"): a fresh random
-content key encrypts the payload under XChaCha20-Poly1305, and that content
-key is wrapped under a key derived from the static-static X25519 agreement
-between the sender's and recipient's long-term keys. Whoever can unwrap the
-content key has therefore already authenticated the sender named in the
-header; no separate signature is needed.
+The construction is sender-authenticated ("authcrypt") by direct key
+agreement: HKDF over the static-static X25519 secret between the sender's
+and recipient's long-term keys, with the header hash in its info string,
+yields a payload key and a 16-byte key commitment. The header carries a
+fresh random nonce, so both are unique per envelope. The payload is sealed
+under XChaCha20-Poly1305 with that key, and the commitment travels in the
+frame. Whoever derives the same commitment has therefore already
+authenticated the sender named in the header; no separate signature is
+needed.
 
-The protected header travels in cleartext but is bound into the AEAD
-associated data of both the key wrap and the payload, so any header
-mutation makes the envelope undecryptable. The key-wrap KDF also mixes the
-header hash into its info string, which lets the wrap use a fixed nonce:
-the wrapping key itself is unique per envelope because the header carries
-the fresh payload nonce.
+The protected header travels in cleartext but is hashed into the key
+derivation and bound as the AEAD associated data, so any header mutation
+fails the commitment check.
 The header is the only JSON in the binary frame; inside the seal, raw
 `payload` bytes follow the message's JSON head.
 """
 
 from __future__ import annotations
 
+import hmac
 import json
 import struct
 import uuid
@@ -34,19 +35,18 @@ from .errors import (
     StaleKeyError,
     WireFormatError,
 )
-from .identity import DidDocument, KeyPair
+from .identity import DidDocument, KeyPair, parse_did
 
 CONTENT_ENCRYPTION = "XC20P"
 NONCE_SIZE = 24
 MAX_FRAME = 16 * 1024 * 1024  # whole-frame limit, enforced both directions
-WRAPPED_KEY_SIZE = 48  # 32-byte content key + 16-byte tag
+COMMITMENT_SIZE = 16
 TAG_SIZE = 16
 
-_HEADER_LEN = struct.Struct(">H")  # frame: uint16 BE len(header) ‖ header ‖ key ‖ ct ‖ tag
+_HEADER_LEN = struct.Struct(">H")  # frame: uint16 BE len(header) ‖ header ‖ commit ‖ ct ‖ tag
 _HEAD_LEN = struct.Struct(">I")  # plaintext: uint32 BE len(head) ‖ head ‖ payload
 
-_KEK_INFO_PREFIX = b"sbacl/envelope/kek/"
-_WRAP_NONCE = b"\x00" * NONCE_SIZE
+_KEY_INFO_PREFIX = b"sbacl/envelope/key/"
 
 # Every message type that may travel in an envelope. Anything else is
 # rejected at pack and unpack time.
@@ -97,13 +97,16 @@ class ProtocolMessage:
 @dataclass
 class Envelope:
     protected_header: dict[str, Any]
-    wrapped_key: bytes
+    key_commitment: bytes
     ciphertext: bytes
     auth_tag: bytes
 
 
-def _kek(shared_secret: bytes, header_bytes: bytes) -> bytes:
-    return crypto.hkdf_sha256(shared_secret, _KEK_INFO_PREFIX + sha256(header_bytes))
+def _envelope_key(shared_secret: bytes, header_bytes: bytes) -> tuple[bytes, bytes]:
+    """The payload key and the key commitment for one header."""
+    okm = crypto.hkdf_sha256(shared_secret, _KEY_INFO_PREFIX + sha256(header_bytes),
+                             32 + COMMITMENT_SIZE)
+    return okm[:32], okm[32:]
 
 
 def pack(
@@ -123,17 +126,14 @@ def pack(
         "nonce": b64u_encode(nonce),
     }
     header_bytes = canonical_json(header)
-    content_key = crypto.random_bytes(32)
     shared = crypto.x25519_shared_secret(sender_keys.agreement_secret, recipient_doc.agreement_key)
-    wrapped_key = crypto.xchacha_encrypt(
-        _kek(shared, header_bytes), _WRAP_NONCE, content_key, header_bytes
-    )
+    key, commitment = _envelope_key(shared, header_bytes)
     head = canonical_json(msg.to_dict())
     plaintext = b"".join((_HEAD_LEN.pack(len(head)), head, msg.payload))
-    sealed = crypto.xchacha_encrypt(content_key, nonce, plaintext, header_bytes)
+    sealed = crypto.xchacha_encrypt(key, nonce, plaintext, header_bytes)
     return Envelope(
         protected_header=header,
-        wrapped_key=wrapped_key,
+        key_commitment=commitment,
         ciphertext=sealed[:-TAG_SIZE],
         auth_tag=sealed[-TAG_SIZE:],
     )
@@ -148,9 +148,9 @@ def unpack(
     """Open an envelope; returns the message and the authenticated sender DID.
 
     The sender DID comes from the header, but it is only returned after the
-    key unwrap succeeds, which requires the agreement secret matching that
-    DID's published key. A header naming someone else's DID therefore fails
-    exactly like an envelope addressed to someone else.
+    key commitment matches, which requires the agreement secret matching
+    that DID's published key. A header naming someone else's DID therefore
+    fails exactly like an envelope addressed to someone else.
 
     Resolution errors for the claimed sender propagate to the caller; an
     unreachable registry must never look like a tampered envelope.
@@ -170,21 +170,16 @@ def unpack(
     if local_key_version is not None and key_version != local_key_version:
         raise StaleKeyError(got=key_version, current=local_key_version)
 
-    sender_doc = resolver.resolve(sender)
+    sender_doc = resolver.resolve(parse_did(sender))
     header_bytes = canonical_json(header)
     shared = crypto.x25519_shared_secret(recipient_keys.agreement_secret, sender_doc.agreement_key)
-    try:
-        content_key = crypto.xchacha_decrypt(
-            _kek(shared, header_bytes), _WRAP_NONCE, env.wrapped_key, header_bytes
-        )
-    except ValueError:
+    key, commitment = _envelope_key(shared, header_bytes)
+    if not hmac.compare_digest(commitment, env.key_commitment):
         raise NotIntendedRecipientError(
-            "content key unwrap failed: wrong recipient or forged sender"
-        ) from None
-    try:
-        plaintext = crypto.xchacha_decrypt(
-            content_key, nonce, env.ciphertext + env.auth_tag, header_bytes
+            "key commitment mismatch: wrong recipient or forged sender"
         )
+    try:
+        plaintext = crypto.xchacha_decrypt(key, nonce, env.ciphertext + env.auth_tag, header_bytes)
     except ValueError:
         raise EnvelopeIntegrityError("payload authentication failed") from None
     head_end = _HEAD_LEN.size + int.from_bytes(plaintext[:_HEAD_LEN.size], "big")
@@ -202,12 +197,12 @@ def unpack(
 
 def encode_wire(env: Envelope) -> bytes:
     header = canonical_json(env.protected_header)
-    size = (_HEADER_LEN.size + len(header) + len(env.wrapped_key) + len(env.ciphertext)
+    size = (_HEADER_LEN.size + len(header) + len(env.key_commitment) + len(env.ciphertext)
             + len(env.auth_tag))
     if size > MAX_FRAME or len(header) > 0xFFFF:
         raise WireFormatError(f"frame of {size} bytes (header {len(header)}) exceeds "
                               f"{MAX_FRAME} bytes (header 65535)")
-    return b"".join((_HEADER_LEN.pack(len(header)), header, env.wrapped_key, env.ciphertext,
+    return b"".join((_HEADER_LEN.pack(len(header)), header, env.key_commitment, env.ciphertext,
                      env.auth_tag))
 
 
@@ -215,7 +210,7 @@ def decode_wire(data: bytes) -> Envelope:
     if len(data) > MAX_FRAME:
         raise WireFormatError(f"frame of {len(data)} bytes exceeds {MAX_FRAME} bytes")
     key_at = _HEADER_LEN.size + int.from_bytes(data[:_HEADER_LEN.size], "big")
-    ct_at = key_at + WRAPPED_KEY_SIZE
+    ct_at = key_at + COMMITMENT_SIZE
     if len(data) < ct_at + TAG_SIZE:
         raise WireFormatError(f"frame of {len(data)} bytes is shorter than its fixed parts")
     try:

@@ -58,7 +58,7 @@ class EnvelopeError(SbaclError):
 
 
 class NotIntendedRecipientError(EnvelopeError):
-    """Content-key unwrap failed.
+    """The envelope's key commitment does not match the one derived here.
 
     With static-static key agreement this covers both cases that are
     cryptographically indistinguishable: the envelope was encrypted to a

@@ -347,10 +347,7 @@ class Ipmf:
         session = Session(thread_id=msg.thread_id, peer=sender, challenge=fresh_challenge(),
                           request=(kind, requested))
         self.sessions.put(session)
-        return msg.reply(MSG_PRESENT_REQUEST, {
-            "challenge": b64u_encode(session.challenge),
-            "kinds": [KIND_AUTHN],
-        })
+        return msg.reply(MSG_PRESENT_REQUEST, {"challenge": b64u_encode(session.challenge)})
 
     def _on_presentation(self, msg: ProtocolMessage, session: Session) -> ProtocolMessage:
         vp = body_field(msg, "presentation", VerifiablePresentation.from_dict)

@@ -6,7 +6,7 @@ exchanges. The responder's challenge rides on its first reply, so no
 exchange exists only to fetch it:
 
 - issuance: `offer{kind, claims}` is answered by
-  `present-request{challenge, kinds}`, then the holder's `presentation`
+  `present-request{challenge}`, then the holder's AuthN `presentation`
   by `issue` or `deny`;
 - handshake: `present-request{challenge}` is answered by the producer's
   `presentation{presentation, challenge}`, then the consumer's combined
@@ -137,8 +137,8 @@ def run_issuance(
     """Obtain one credential from an issuer over an established channel.
 
     The offer names what is asked for and is answered with the issuer's
-    challenge; the presentation answers that challenge from the bootstrap
-    wallet and is answered with the credential.
+    challenge; the presentation answers that challenge with the bootstrap
+    AuthN credentials and is answered with the credential.
     """
     thread_id = str(uuid.uuid4())
     reply = channel.request(ProtocolMessage(MSG_OFFER, {"kind": kind, "claims": claims},
@@ -151,12 +151,9 @@ def run_issuance(
     challenge = body_field(reply, "challenge", b64u_decode)
     if challenge is None:
         raise ProtocolError("identification request carries no usable challenge")
-    wanted_kinds = set(reply.body.get("kinds", [KIND_AUTHN]))
-    creds = [c for c in bootstrap_creds if c.kind in wanted_kinds]
+    creds = [c for c in bootstrap_creds if c.kind == KIND_AUTHN]
     if not creds:
-        raise IdentificationRejectedError(
-            f"no bootstrap credentials of kinds {sorted(wanted_kinds)} to present"
-        )
+        raise IdentificationRejectedError("no AuthN bootstrap credentials to present")
     vp = build_presentation(holder_keys, holder_did, creds, challenge)
     reply = channel.request(ProtocolMessage(MSG_PRESENTATION, {"presentation": vp.to_dict()},
                                             thread_id=thread_id))
@@ -221,7 +218,7 @@ def run_handshake(channel, profile: HandshakeProfile, peer_did: str) -> list[dic
     challenge = fresh_challenge()
     reply = channel.request(ProtocolMessage(
         MSG_PRESENT_REQUEST,
-        {"challenge": b64u_encode(challenge), "kinds": [KIND_AUTHN]},
+        {"challenge": b64u_encode(challenge)},
         thread_id=thread_id,
     ))
     if reply.type != MSG_PRESENTATION:

@@ -20,7 +20,6 @@ import json
 import logging
 import threading
 import time
-import uuid
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import ClassVar
@@ -338,9 +337,7 @@ class Sidecar:
     def _tunnel(self, peer: str, method: str, path: str,
                 headers: list[tuple[str, str]], body: bytes,
                 retry_left: int) -> tuple[int, list[tuple[str, str]], bytes]:
-        correlation_id = str(uuid.uuid4())
         msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
-            "correlation_id": correlation_id,
             "method": method,
             "path": path,
             "headers": [[k, v] for k, v in headers if k.lower() not in HOP_HEADERS],
@@ -358,8 +355,6 @@ class Sidecar:
             return self._tunnel(peer, method, path, headers, body, retry_left - 1)
         if reply.type != MSG_TUNNEL_RESPONSE:
             raise ProtocolError(f"expected tunnel response, got {reply.type}")
-        if reply.body.get("correlation_id") != correlation_id:
-            raise ProtocolError("tunnel response correlates to a different request")
         status = body_field(reply, "status", int)
         resp_headers = _headers(reply)
         if None in (status, resp_headers):
@@ -394,10 +389,9 @@ class Sidecar:
         if assoc is None:
             log.info("%s: tunnel frame from %s without association", self.name, sender)
             return msg.reply(MSG_REHANDSHAKE, {"reason": "unknown_association"})
-        method, path, correlation_id = (body_field(msg, key, _string)
-                                        for key in ("method", "path", "correlation_id"))
+        method, path = (body_field(msg, key, _string) for key in ("method", "path"))
         req_headers = _headers(msg)
-        if None in (method, path, correlation_id, req_headers):
+        if None in (method, path, req_headers):
             log.info("%s: malformed tunnel frame from %s", self.name, sender)
             return self._tunnel_response(msg, 400, {"error": "malformed_message"})
         service = self._local_service_for(path)
@@ -415,7 +409,6 @@ class Sidecar:
             return self._tunnel_response(msg, 502, {"error": "local_nf_unreachable"})
         headers = [[k, v] for k, v in resp_headers.items() if k.lower() not in HOP_HEADERS]
         return msg.reply(MSG_TUNNEL_RESPONSE, {
-            "correlation_id": correlation_id,
             "status": status,
             "headers": headers,
         }, resp_body)
@@ -423,7 +416,6 @@ class Sidecar:
     @staticmethod
     def _tunnel_response(msg: ProtocolMessage, status: int, body: dict) -> ProtocolMessage:
         return msg.reply(MSG_TUNNEL_RESPONSE, {
-            "correlation_id": msg.body.get("correlation_id", ""),
             "status": status,
             "headers": [["Content-Type", "application/json"]],
         }, json.dumps(body, sort_keys=True).encode("utf-8"))

@@ -329,7 +329,7 @@ def test_criterion_2_chain_oracle_agreement():
 
 def _clone_env(env):
     return Envelope(protected_header=dict(env.protected_header),
-                    wrapped_key=env.wrapped_key,
+                    key_commitment=env.key_commitment,
                     ciphertext=env.ciphertext,
                     auth_tag=env.auth_tag)
 
@@ -374,8 +374,8 @@ def test_criterion_3_envelope_security_properties():
             "content_encryption", "A256GCM"),
         "nonce": lambda e: e.protected_header.__setitem__(
             "nonce", _flip_text_char(e.protected_header["nonce"], rng)),
-        "wrapped_key": lambda e: setattr(e, "wrapped_key",
-                                         _flip_byte(e.wrapped_key, rng)),
+        "key_commitment": lambda e: setattr(e, "key_commitment",
+                                            _flip_byte(e.key_commitment, rng)),
         "ciphertext": lambda e: setattr(e, "ciphertext",
                                         _flip_byte(e.ciphertext, rng)),
         "auth_tag": lambda e: setattr(e, "auth_tag", _flip_byte(e.auth_tag, rng)),

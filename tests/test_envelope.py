@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbacl import envelope
-from sbacl.encoding import b64u_encode
+from sbacl.encoding import b64u_encode, canonical_json
 from sbacl.envelope import (
     MAX_FRAME,
     MSG_ACK,
@@ -140,7 +140,7 @@ def test_ciphertext_and_tag_tampering(alice, bob):
     with pytest.raises(EnvelopeIntegrityError):
         unpack(bad, bob[0], RESOLVER)
 
-    bad = dataclasses.replace(env, wrapped_key=bytes(b ^ 1 for b in env.wrapped_key))
+    bad = dataclasses.replace(env, key_commitment=bytes(b ^ 1 for b in env.key_commitment))
     with pytest.raises(NotIntendedRecipientError):
         unpack(bad, bob[0], RESOLVER)
 
@@ -221,7 +221,7 @@ def test_wire_body_must_be_an_envelope():
 def test_encode_refuses_oversized_frame():
     env = Envelope(
         protected_header={},
-        wrapped_key=b"",
+        key_commitment=b"",
         ciphertext=b"\x00" * (MAX_FRAME + 1024),
         auth_tag=b"",
     )
@@ -229,12 +229,12 @@ def test_encode_refuses_oversized_frame():
         encode_wire(env)
 
 
-def test_content_keys_are_fresh_per_envelope(alice, bob):
+def test_envelope_keys_are_fresh_per_envelope(alice, bob):
     msg = ProtocolMessage(type=MSG_ACK, body={"n": 1})
     first = pack(msg, alice[0], alice[1], bob[2])
     second = pack(msg, alice[0], alice[1], bob[2])
     assert first.protected_header["nonce"] != second.protected_header["nonce"]
-    assert first.wrapped_key != second.wrapped_key
+    assert first.key_commitment != second.key_commitment
     assert first.ciphertext != second.ciphertext
 
 
@@ -271,7 +271,11 @@ def test_payload_roundtrip_property(payload):
     sender = make_peer()
     recipient = make_peer()
     msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {"method": "POST"}, payload=payload)
-    env = decode_wire(encode_wire(pack(msg, sender[0], sender[1], recipient[2])))
+    frame = encode_wire(pack(msg, sender[0], sender[1], recipient[2]))
+    env = decode_wire(frame)
+    # uint16 len(H) ‖ H ‖ commitment ‖ uint32 len(head) ‖ head ‖ payload ‖ tag
+    assert len(frame) == (2 + len(canonical_json(env.protected_header)) + 16
+                          + 4 + len(canonical_json(msg.to_dict())) + len(payload) + 16)
     out, _ = unpack(env, recipient[0], RESOLVER)
     assert out.payload == payload
     assert out.body == {"method": "POST"}
@@ -304,7 +308,7 @@ def test_head_length_past_the_plaintext_is_refused(alice, bob, monkeypatch):
 def test_tunneled_body_travels_without_expansion(alice, bob):
     body = bytes(range(256)) * 256  # 64 KiB
     msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
-        "correlation_id": "0b6c2f0e-6a43-4a8e-9f4e-3f1d0d6b9a51", "method": "POST",
+        "method": "POST",
         "path": "/nudm-uecm/v1/registrations",
         "headers": [["Content-Type", "application/json"], ["Accept", "*/*"]],
     }, payload=body)

@@ -1,5 +1,6 @@
 import http.client
 import json
+import logging
 from types import SimpleNamespace
 
 import pytest
@@ -63,12 +64,14 @@ def test_wrong_path_leaves_a_keep_alive_connection_usable(served):
     assert reply.body == {"echo": {"n": 1}}
 
 
-def test_malformed_sender_is_an_unknown_sender(served):
+@pytest.mark.parametrize("sender", ["not-a-did", 7, ["a"], {"a": 1}])
+def test_malformed_sender_is_an_unknown_sender(served, sender, caplog):
     _, env = sealed(served, {})
-    env.protected_header["sender"] = "not-a-did"
+    env.protected_header["sender"] = sender
     status, body = post(served, ENVELOPE_PATH, encode_wire(env))
     assert status == 400
     assert json.loads(body)["error"] == "unknown_sender"
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 def test_reply_that_cannot_be_sealed_is_an_internal_error(served):

@@ -133,12 +133,10 @@ class MiniIssuer:
             if self.deny_at == "offer":
                 return msg.reply(MSG_DENY, {"reason": "kind_not_offered"})
             if self.misbehave == "no_challenge":
-                return msg.reply(MSG_PRESENT_REQUEST, {"kinds": [KIND_AUTHN]})
+                return msg.reply(MSG_PRESENT_REQUEST, {})
             self.challenge = fresh_challenge()
             self.offer = msg.body
-            return msg.reply(MSG_PRESENT_REQUEST, {
-                "challenge": b64u_encode(self.challenge), "kinds": [KIND_AUTHN],
-            })
+            return msg.reply(MSG_PRESENT_REQUEST, {"challenge": b64u_encode(self.challenge)})
         if msg.type == MSG_PRESENTATION:
             vp = VerifiablePresentation.from_dict(msg.body["presentation"])
             verdict = verify_presentation(vp, self.challenge, self.trust, RESOLVER)
@@ -285,7 +283,7 @@ class HandshakeWorld:
         """Send the consumer's opening message; returns the producer's reply."""
         return self.responder.handle(ProtocolMessage(
             MSG_PRESENT_REQUEST,
-            {"challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]},
+            {"challenge": b64u_encode(fresh_challenge())},
         ), self.cons_did)
 
     def presentation(self, reply, creds=None):
@@ -506,7 +504,7 @@ class ResponderMachine(RuleBasedStateMachine):
         sender = sorted(self.wallets)[sender]
         reply = self.world.responder.handle(ProtocolMessage(
             MSG_PRESENT_REQUEST,
-            {"challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]},
+            {"challenge": b64u_encode(fresh_challenge())},
         ), sender)
         assert reply.type == MSG_PRESENTATION
         self.open[reply.thread_id] = (sender, b64u_decode(reply.body["challenge"]))

@@ -259,7 +259,6 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     smuggled = (b"DELETE /nudm-sdm/v2/data HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Length: 0\r\n\r\n")
     msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
-        "correlation_id": "c-1",
         "method": "POST",
         "path": "/nudm-uecm/v1/registrations",
         "headers": [list(framing)],
@@ -276,7 +275,6 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     ("path", 7),
     ("method", ["GET"]),
     ("method", None),
-    ("correlation_id", None),
     ("headers", "abc"),
     ("headers", [["a"]]),
     ("headers", [[1, "x"]]),
@@ -284,8 +282,7 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
 ])
 def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
-    frame = {"correlation_id": "c-1", "method": "GET", "path": "/nudm-sdm/v2/data",
-             "headers": []}
+    frame = {"method": "GET", "path": "/nudm-sdm/v2/data", "headers": []}
     if value is None:
         del frame[field]
     else:
@@ -299,7 +296,7 @@ def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
 
 
 @pytest.mark.parametrize("field,value", [("status", None), ("status", "ok"),
-                                         ("correlation_id", None), ("correlation_id", 7),
+                                         ("thread_id", "another-thread"),
                                          ("headers", [["x"]]), ("headers", "abc"),
                                          ("headers", [[1, "x"]])])
 def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
@@ -308,7 +305,9 @@ def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
 
     def garbling(msg, sender):
         reply = answer(msg, sender)
-        if value is None:
+        if field == "thread_id":  # the reply's only tie to its request
+            reply.thread_id = value
+        elif value is None:
             del reply.body[field]
         else:
             reply.body[field] = value
@@ -481,7 +480,7 @@ def test_envelope_from_a_forged_sender_document_is_unknown_sender(world):
     world.producer.resolver.registry_client = _serving(
         world.registry, victim, _swap_agreement_key(attacker.agreement_public))
     msg = ProtocolMessage(MSG_TUNNEL_REQUEST, {
-        "correlation_id": "c-1", "method": "GET", "path": "/nudm-sdm/v2/data", "headers": [],
+        "method": "GET", "path": "/nudm-sdm/v2/data", "headers": [],
     })
     wire = encode_wire(pack(msg, attacker, victim, world.producer.current_doc))
     resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
@@ -545,7 +544,7 @@ def test_envelope_from_a_speer_did_is_an_unknown_sender(world):
     keys = generate_keypair()
     sender = speer_shaped_did(keys)
     msg = ProtocolMessage(MSG_PRESENT_REQUEST, {
-        "challenge": b64u_encode(fresh_challenge()), "kinds": [KIND_AUTHN]})
+        "challenge": b64u_encode(fresh_challenge())})
     wire = encode_wire(pack(msg, keys, sender, world.producer.current_doc))
     resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
     _refused_as(resp, 400, "unknown_sender")
