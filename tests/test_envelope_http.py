@@ -64,13 +64,13 @@ def test_wrong_path_leaves_a_keep_alive_connection_usable(served):
     assert reply.body == {"echo": {"n": 1}}
 
 
-@pytest.mark.parametrize("sender", ["not-a-did", 7, ["a"], {"a": 1}])
-def test_malformed_sender_is_an_unknown_sender(served, sender, caplog):
-    _, env = sealed(served, {})
-    env.protected_header["sender"] = sender
-    status, body = post(served, ENVELOPE_PATH, encode_wire(env))
-    assert status == 400
-    assert json.loads(body)["error"] == "unknown_sender"
+def test_malformed_sender_is_an_unknown_sender(served, caplog):
+    for sender in ["not-a-did", 7, ["a"], {"a": 1}]:
+        _, env = sealed(served, {})
+        env.protected_header["sender"] = sender
+        status, body = post(served, ENVELOPE_PATH, encode_wire(env))
+        assert status == 400, sender
+        assert json.loads(body)["error"] == "unknown_sender", sender
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 

@@ -276,9 +276,11 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     ("method", ["GET"]),
     ("method", None),
     ("headers", "abc"),
-    ("headers", [["a"]]),
-    ("headers", [[1, "x"]]),
-    ("headers", ["ab"]),  # unpacks into a pair unless pairs must be lists
+    # explicit ids keep each case's name stable when cases are added or removed
+    pytest.param("headers", [["a"]], id="headers-value6"),
+    pytest.param("headers", [[1, "x"]], id="headers-value7"),
+    # unpacks into a pair unless pairs must be lists
+    pytest.param("headers", ["ab"], id="headers-value8"),
 ])
 def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
@@ -295,10 +297,14 @@ def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert world.producer_nf.requests == [("GET", "/nudm-sdm/v2/data")]
 
 
-@pytest.mark.parametrize("field,value", [("status", None), ("status", "ok"),
-                                         ("thread_id", "another-thread"),
-                                         ("headers", [["x"]]), ("headers", "abc"),
-                                         ("headers", [[1, "x"]])])
+@pytest.mark.parametrize("field,value", [
+    ("status", None),
+    ("status", "ok"),
+    ("thread_id", "another-thread"),
+    pytest.param("headers", [["x"]], id="headers-value4"),
+    ("headers", "abc"),
+    pytest.param("headers", [[1, "x"]], id="headers-value6"),
+])
 def test_malformed_tunnel_response_is_a_tunnel_failure(world, field, value):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     answer = world.producer._on_tunnel_request
