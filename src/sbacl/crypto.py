@@ -15,6 +15,7 @@ vectors and an independent reimplementation in the test suite.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 
@@ -41,6 +42,9 @@ from cryptography.hazmat.primitives.serialization import (
 
 _RAW_PRIVATE = (Encoding.Raw, PrivateFormat.Raw, NoEncryption())
 _RAW_PUBLIC = (Encoding.Raw, PublicFormat.Raw)
+
+# Static-static X25519 secrets remembered per process, one per exact key pair.
+AGREEMENTS_CACHED = 1024
 
 # "expand 32-byte k" as four little-endian words, the ChaCha constant row.
 _CHACHA_CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
@@ -90,6 +94,16 @@ def x25519_public_from_secret(secret: bytes) -> bytes:
 
 
 def x25519_shared_secret(secret: bytes, peer_public: bytes) -> bytes:
+    """The X25519 secret of two keys, a pure function of both (RFC 7748 6.1).
+
+    It is remembered on the exact (secret, peer_public) pair, so a rotated
+    key on either side is a new pair. A key that yields no secret raises
+    `ValueError` on every call: a failure is never remembered."""
+    return _x25519_exchange(secret, peer_public)
+
+
+@functools.lru_cache(maxsize=AGREEMENTS_CACHED)
+def _x25519_exchange(secret: bytes, peer_public: bytes) -> bytes:
     priv = X25519PrivateKey.from_private_bytes(secret)
     return priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
 

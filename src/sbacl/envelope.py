@@ -31,6 +31,7 @@ from .encoding import b64u_decode, b64u_encode, canonical_json, sha256
 from .errors import (
     EnvelopeError,
     EnvelopeIntegrityError,
+    IdentityError,
     NotIntendedRecipientError,
     StaleKeyError,
     WireFormatError,
@@ -102,10 +103,16 @@ class Envelope:
     auth_tag: bytes
 
 
-def _envelope_key(shared_secret: bytes, header_bytes: bytes) -> tuple[bytes, bytes]:
-    """The payload key and the key commitment for one header."""
-    okm = crypto.hkdf_sha256(shared_secret, _KEY_INFO_PREFIX + sha256(header_bytes),
-                             32 + COMMITMENT_SIZE)
+def _envelope_key(own_secret: bytes, peer_doc: DidDocument,
+                  header_bytes: bytes) -> tuple[bytes, bytes]:
+    """The payload key and the key commitment for one header, from the
+    static-static secret with `peer_doc`'s published agreement key. A key
+    that yields no secret (wrong size, low order) makes the DID unusable."""
+    try:
+        shared = crypto.x25519_shared_secret(own_secret, peer_doc.agreement_key)
+    except ValueError as exc:
+        raise IdentityError(f"{peer_doc.did} publishes an unusable agreement key: {exc}") from exc
+    okm = crypto.hkdf_sha256(shared, _KEY_INFO_PREFIX + sha256(header_bytes), 32 + COMMITMENT_SIZE)
     return okm[:32], okm[32:]
 
 
@@ -126,8 +133,7 @@ def pack(
         "nonce": b64u_encode(nonce),
     }
     header_bytes = canonical_json(header)
-    shared = crypto.x25519_shared_secret(sender_keys.agreement_secret, recipient_doc.agreement_key)
-    key, commitment = _envelope_key(shared, header_bytes)
+    key, commitment = _envelope_key(sender_keys.agreement_secret, recipient_doc, header_bytes)
     head = canonical_json(msg.to_dict())
     plaintext = b"".join((_HEAD_LEN.pack(len(head)), head, msg.payload))
     sealed = crypto.xchacha_encrypt(key, nonce, plaintext, header_bytes)
@@ -172,8 +178,7 @@ def unpack(
 
     sender_doc = resolver.resolve(parse_did(sender))
     header_bytes = canonical_json(header)
-    shared = crypto.x25519_shared_secret(recipient_keys.agreement_secret, sender_doc.agreement_key)
-    key, commitment = _envelope_key(shared, header_bytes)
+    key, commitment = _envelope_key(recipient_keys.agreement_secret, sender_doc, header_bytes)
     if not hmac.compare_digest(commitment, env.key_commitment):
         raise NotIntendedRecipientError(
             "key commitment mismatch: wrong recipient or forged sender"

@@ -3,17 +3,21 @@
 A mock NF serves a fixed behavior table: exact (method, path) pairs mapped
 to a status and JSON body. The NRF role is just a mock NF whose table
 contains discovery paths returning static profile lists. Every request is
-recorded, which is how tests assert that an unauthorized consumer's traffic
-never reached the NF.
+counted and the latest `REQUESTS_KEPT` are recorded, which is how tests
+assert that an unauthorized consumer's traffic never reached the NF.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from .httputil import HttpService, QuietHandler
+
+# (method, path) of the latest requests kept, so a long-running NF stays bounded.
+REQUESTS_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,8 @@ class MockNf:
         self.name = name
         self.nf_type = nf_type
         self._table = {(b.method, b.path): b for b in behaviors}
-        self.requests: list[tuple[str, str]] = []
+        self.requests: deque[tuple[str, str]] = deque(maxlen=REQUESTS_KEPT)
+        self._count = 0
         self._lock = threading.Lock()
         self._service = HttpService(self._make_handler(), host, port)
 
@@ -52,7 +57,7 @@ class MockNf:
 
     def request_count(self) -> int:
         with self._lock:
-            return len(self.requests)
+            return self._count
 
     def _make_handler(self):
         nf = self
@@ -63,6 +68,7 @@ class MockNf:
                 self.read_body()
                 with nf._lock:
                     nf.requests.append((method, self.path))
+                    nf._count += 1
                 behavior = nf._table.get((method, self.path))
                 if behavior is None:
                     self.send_json(404, {"error": "not_found", "path": self.path})

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbacl import crypto
+from sbacl.envelope import MSG_ACK, ProtocolMessage, pack, unpack
+from sbacl.identity import Resolver
+from sbacl.vdr import Registry
 
 import oracles
+from conftest import registered_identity
 
 # RFC 8032, Ed25519 TEST 1
 ED25519_SEED = bytes.fromhex(
@@ -47,6 +51,76 @@ def test_x25519_rfc7748_dh_vector():
     pub_b = crypto.x25519_public_from_secret(X25519_B)
     assert crypto.x25519_shared_secret(X25519_A, pub_b) == X25519_SHARED
     assert crypto.x25519_shared_secret(X25519_B, pub_a) == X25519_SHARED
+
+
+@pytest.fixture()
+def exchanges(monkeypatch):
+    """The peer keys of every X25519 exchange computed, from an empty memo on."""
+    computed = []
+    real = crypto.X25519PrivateKey
+
+    class Counted:
+        generate = staticmethod(real.generate)
+
+        def __init__(self, key):
+            self._key = key
+
+        @classmethod
+        def from_private_bytes(cls, secret):
+            return cls(real.from_private_bytes(secret))
+
+        def public_key(self):
+            return self._key.public_key()
+
+        def exchange(self, peer):
+            computed.append(peer)
+            return self._key.exchange(peer)
+
+    crypto._x25519_exchange.cache_clear()
+    monkeypatch.setattr(crypto, "X25519PrivateKey", Counted)
+    yield computed
+    crypto._x25519_exchange.cache_clear()
+
+
+def test_each_key_pair_costs_one_exchange(exchanges):
+    pub_a = crypto.x25519_public_from_secret(X25519_A)
+    pub_b = crypto.x25519_public_from_secret(X25519_B)
+    assert crypto.x25519_shared_secret(X25519_A, pub_b) == X25519_SHARED
+    assert crypto.x25519_shared_secret(X25519_A, pub_b) == X25519_SHARED
+    assert len(exchanges) == 1
+    assert crypto.x25519_shared_secret(X25519_B, pub_a) == X25519_SHARED
+    assert len(exchanges) == 2
+    # a new own secret, then a new peer key: each is a new pair with its own secret
+    other = crypto.x25519_generate_secret()
+    with_other_secret = crypto.x25519_shared_secret(other, pub_b)
+    assert len(exchanges) == 3
+    pub_other = crypto.x25519_public_from_secret(other)
+    with_other_peer = crypto.x25519_shared_secret(X25519_A, pub_other)
+    assert len(exchanges) == 4
+    assert len({X25519_SHARED, with_other_secret, with_other_peer}) == 3
+
+
+def test_a_key_without_a_shared_secret_fails_on_every_call(exchanges):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            crypto.x25519_shared_secret(X25519_A, b"\0" * 32)  # low order: no secret
+    assert len(exchanges) == 2
+
+
+def test_a_warm_envelope_round_trip_costs_no_exchange(exchanges):
+    registry = Registry()
+    resolver = Resolver(registry)
+    (a_keys, a_did), (b_keys, b_did) = registered_identity(registry), registered_identity(registry)
+    msg = ProtocolMessage(MSG_ACK, {"status": "ok"})
+
+    def round_trip():
+        env = pack(msg, a_keys, a_did, resolver.resolve(b_did))
+        assert unpack(env, b_keys, resolver) == (msg, a_did)
+
+    round_trip()
+    assert len(exchanges) == 2  # one per direction: (a, B) to pack, (b, A) to unpack
+    round_trip()
+    assert len(exchanges) == 2
 
 
 # RFC 5869 test case 1

@@ -20,7 +20,12 @@ from sbacl.envelope import (
     pack,
 )
 from sbacl.httputil import HttpService, QuietHandler
-from sbacl.identity import SignedDocumentUpdate, create_registry_did, generate_keypair
+from sbacl.identity import (
+    SignedDocumentUpdate,
+    create_registry_did,
+    generate_keypair,
+    self_sign_document,
+)
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import Association, AssociationStore, LocalService, RouteRule, Sidecar
@@ -266,7 +271,7 @@ def test_peer_framing_headers_cannot_smuggle_a_second_request(world, framing):
     reply = world.producer.handle_inbound(msg, world.consumer.did)
     assert reply.body["status"] == 201
     time.sleep(0.3)  # the NF would serve a smuggled request right after
-    assert world.producer_nf.requests == [
+    assert list(world.producer_nf.requests) == [
         ("GET", "/nudm-sdm/v2/data"), ("POST", "/nudm-uecm/v1/registrations")]
 
 
@@ -294,7 +299,7 @@ def test_malformed_tunnel_frame_is_refused_before_the_nf(world, field, value):
     assert reply.type == MSG_TUNNEL_RESPONSE
     assert reply.body["status"] == 400
     assert json.loads(reply.payload) == {"error": "malformed_message"}
-    assert world.producer_nf.requests == [("GET", "/nudm-sdm/v2/data")]
+    assert list(world.producer_nf.requests) == [("GET", "/nudm-sdm/v2/data")]
 
 
 @pytest.mark.parametrize("field,value", [
@@ -555,6 +560,26 @@ def test_envelope_from_a_speer_did_is_an_unknown_sender(world):
     resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
     _refused_as(resp, 400, "unknown_sender")
     assert len(world.producer.responder.sessions) == 0
+
+
+@pytest.mark.parametrize("key", [b"\0" * 32, b"short"], ids=["low-order", "5-bytes"])
+def test_an_unusable_agreement_key_is_an_unknown_party(world, key, caplog):
+    # a registered DID whose document publishes an agreement key that yields no secret
+    keys = generate_keypair()
+    did, doc = create_registry_did(keys, world.producer.peer_endpoint)
+    world.registry.register(self_sign_document(replace(doc, agreement_key=key), keys))
+    msg = ProtocolMessage(MSG_PRESENT_REQUEST, {
+        "challenge": b64u_encode(fresh_challenge())})
+    wire = encode_wire(pack(msg, keys, did, world.producer.current_doc))
+    with caplog.at_level(logging.INFO):
+        resp = requests.post(world.producer.peer_endpoint + "/envelope", data=wire, timeout=10)
+        assert did in _refused_as(resp, 400, "unknown_sender")
+        world.consumer.routes.insert(0, RouteRule(host="UDM-9", target_did=did))
+        resp = world.call("GET", "/nudm-sdm/v2/data", headers={"Host": "UDM-9"})
+        assert did in _refused_as(resp, 502, "unknown_peer")
+    assert len(world.producer.responder.sessions) == 0
+    assert world.producer_nf.request_count() == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 def test_unanswered_revocation_status_is_unchecked(world):
