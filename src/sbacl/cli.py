@@ -1,29 +1,26 @@
-"""Command line entry points: `ipmf`, `sidecar`, and `harness`."""
+"""Command line entry points `ipmf`, `sidecar` and `harness`: each parses an
+argv list and returns 0, 1 (the config cannot serve, a run fails) or 2 (usage).
+"""
 
 from __future__ import annotations
 
+import argparse
 import json
 import signal
-import sys
 from pathlib import Path
 
-import click
-
 from .credentials import VerifiableCredential
-from .encoding import b64u_decode
-from .envelope_http import EnvelopeChannel
 from .harness import (
     benchmark,
     bundled,
     format_report,
     launch_topology,
     load_json,
+    provision,
     run_scenario,
 )
-from .identity import generate_keypair
 from .ipmf import Ipmf, load_config
-from .protocols import run_issuance
-from .sidecar import LocalService, RouteRule, Sidecar
+from .sidecar import Sidecar
 from .vdr_http import RegistryHttpClient
 
 
@@ -39,127 +36,126 @@ def _wait_forever() -> None:
             pass
 
 
+def _existing(path: str) -> str:
+    if not Path(path).exists():
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _group(prog: str, doc: str):
+    parser = argparse.ArgumentParser(prog=prog, description=doc)
+    return parser, parser.add_subparsers(dest="command", required=True)
+
+
+def _command(subparsers, name: str, fn) -> argparse.ArgumentParser:
+    """A subcommand that runs `fn(args)`, described by fn's docstring."""
+    sub = subparsers.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+    sub.set_defaults(fn=fn)
+    return sub
+
+
 # --- ipmf ----------------------------------------------------------------------
 
 
-@click.group()
-def ipmf() -> None:
+def ipmf(argv: list[str] | None = None) -> int:
     """Run and administer an identity and permission management function."""
+    parser, commands = _group("ipmf", ipmf.__doc__)
+    run = _command(commands, "run", ipmf_run)
+    run.add_argument("--config", type=_existing, required=True)
+    delegate = _command(commands, "delegate", ipmf_delegate)
+    delegate.add_argument("--config", type=_existing, required=True)
+    delegate.add_argument("--child", required=True, help="DID of the child IPMF")
+    delegate.add_argument("--rights", required=True,
+                          help="comma separated, e.g. issue_authn,issue_authz")
+    delegate.add_argument("--validity", type=int, help="lifetime in seconds")
+    delegate.add_argument("--out")
+    revoke = _command(commands, "revoke", ipmf_revoke)
+    revoke.add_argument("--config", type=_existing, required=True)
+    revoke.add_argument("--registry-id", required=True,
+                        help="revocation registry id printed by `ipmf run`")
+    revoke.add_argument("--credential", required=True)
+    args = parser.parse_args(argv)
+    return args.fn(args) or 0
 
 
-@ipmf.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def ipmf_run(config_path: str) -> None:
+def ipmf_run(args) -> None:
     """Serve the issuance protocol for the configured IPMF."""
-    config = load_config(config_path)
+    config = load_config(args.config)
     if not config.registry_url:
-        raise click.ClickException("config needs registry_url to serve")
+        raise SystemExit("Error: config needs registry_url to serve")
     instance = Ipmf.from_config(config, RegistryHttpClient(config.registry_url))
     instance.bootstrap(host=config.listen_host, port=config.listen_port)
-    click.echo(f"name:                {instance.name}")
-    click.echo(f"did:                 {instance.did}")
-    click.echo(f"endpoint:            {instance.server.endpoint}")
-    click.echo(f"revocation registry: {instance.revocation_registry_id}")
-    click.echo(f"trust root:          {instance.trust_root}")
+    print(f"name:                {instance.name}")
+    print(f"did:                 {instance.did}")
+    print(f"endpoint:            {instance.server.endpoint}")
+    print(f"revocation registry: {instance.revocation_registry_id}")
+    print(f"trust root:          {instance.trust_root}")
     _wait_forever()
     instance.shutdown()
 
 
-@ipmf.command("delegate")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--child", required=True, help="DID of the child IPMF")
-@click.option("--rights", required=True,
-              help="comma separated, e.g. issue_authn,issue_authz")
-@click.option("--validity", type=int, default=None, help="lifetime in seconds")
-@click.option("--out", "out_path", type=click.Path(), default=None)
-def ipmf_delegate(config_path: str, child: str, rights: str,
-                  validity: int | None, out_path: str | None) -> None:
+def ipmf_delegate(args) -> None:
     """Issue a delegation credential for a child IPMF."""
-    config = load_config(config_path)
+    config = load_config(args.config)
     registry = RegistryHttpClient(config.registry_url) if config.registry_url else None
     instance = Ipmf.from_config(config, registry)
-    vc = instance.delegate_to_child(child, rights.split(","), validity=validity)
+    vc = instance.delegate_to_child(args.child, args.rights.split(","), validity=args.validity)
     payload = json.dumps(vc.to_dict(), indent=2, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(payload + "\n", encoding="utf-8")
-        click.echo(f"wrote {vc.credential_id} to {out_path}")
+    if args.out:
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        print(f"wrote {vc.credential_id} to {args.out}")
     else:
-        click.echo(payload)
+        print(payload)
 
 
-@ipmf.command("revoke")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--registry-id", required=True,
-              help="revocation registry id printed by `ipmf run`")
-@click.option("--credential", "credential_id", required=True)
-def ipmf_revoke(config_path: str, registry_id: str, credential_id: str) -> None:
+def ipmf_revoke(args) -> None:
     """Revoke a credential previously issued by this IPMF."""
-    config = load_config(config_path)
+    config = load_config(args.config)
     if not config.registry_url:
-        raise click.ClickException("config needs registry_url to reach the registry")
+        raise SystemExit("Error: config needs registry_url to reach the registry")
     instance = Ipmf.from_config(config, RegistryHttpClient(config.registry_url))
-    instance.revocation_registry_id = registry_id
-    instance.revoke_credential(credential_id)
-    click.echo(f"revoked {credential_id}")
+    instance.revocation_registry_id = args.registry_id
+    instance.revoke_credential(args.credential)
+    print(f"revoked {args.credential}")
 
 
 # --- sidecar ----------------------------------------------------------------------
 
 
-@click.group()
-def sidecar() -> None:
+def sidecar(argv: list[str] | None = None) -> int:
     """Run the per-NF proxy that authenticates and tunnels service traffic."""
+    parser, commands = _group("sidecar", sidecar.__doc__)
+    _command(commands, "run", sidecar_run).add_argument(
+        "--config", type=_existing, required=True)
+    args = parser.parse_args(argv)
+    return args.fn(args) or 0
 
 
-@sidecar.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def sidecar_run(config_path: str) -> None:
+def sidecar_run(args) -> None:
     """Start a sidecar from a JSON config and serve until interrupted."""
-    raw = load_json(config_path)
-    client = RegistryHttpClient(raw["registry_url"])
-    keys = None
-    if raw.get("seed"):
-        keys = generate_keypair(b64u_decode(raw["seed"]))
-    instance = Sidecar(
-        name=raw["name"],
-        nf_type=raw["nf_type"],
-        registry=client,
-        local_nf_url=raw["local_nf_url"],
-        trusted_roots=raw.get("trusted_roots", []),
-        keys=keys,
-        routes=[RouteRule(host=r["host"], target_did=r["target_did"],
-                          path_prefix=r.get("path_prefix", "/"))
-                for r in raw.get("routes", [])],
-        local_services=[LocalService(s["name"], s["path_prefix"])
-                        for s in raw.get("local_services", [])],
-        association_store=raw.get("association_store"),
-        cache_max_age=float(raw.get("cache_max_age", 300.0)),
-    )
-    bootstrap_creds = [
-        VerifiableCredential.from_dict(load_json(p))
-        for p in raw.get("bootstrap_credentials", [])
-    ]
-    if raw.get("credential_requests") and not bootstrap_creds:
-        raise click.ClickException("credential_requests need bootstrap_credentials")
+    raw = load_json(args.config)
+    requests = raw.get("credential_requests", [])
+    bootstrap_creds = [VerifiableCredential.from_dict(load_json(p))
+                       for p in raw.get("bootstrap_credentials", [])]
+    if requests and not bootstrap_creds:
+        raise SystemExit("Error: credential_requests need bootstrap_credentials")
+    for index, request in enumerate(requests):
+        if "issuer" not in request:
+            raise SystemExit(f"Error: credential_requests[{index}] names no issuer")
 
+    instance = Sidecar.from_config(raw, RegistryHttpClient(raw["registry_url"]))
     instance.bootstrap(
         host=raw.get("listen_host", "127.0.0.1"),
         peer_port=int(raw.get("peer_port", 0)),
         intercept_port=int(raw.get("intercept_port", 0)),
     )
+    for vc in provision(instance, bootstrap_creds, requests):
+        print(f"obtained {vc.kind} credential {vc.credential_id}")
 
-    if raw.get("credential_requests"):
-        channel = EnvelopeChannel(instance, raw["ipmf_did"])
-        for request in raw["credential_requests"]:
-            vc = run_issuance(channel, instance.keys, instance.did,
-                              bootstrap_creds, request["kind"], request["claims"])
-            instance.add_credential(vc)
-            click.echo(f"obtained {request['kind']} credential {vc.credential_id}")
-
-    click.echo(f"name:          {instance.name}")
-    click.echo(f"did:           {instance.did}")
-    click.echo(f"peer endpoint: {instance.peer_endpoint}")
-    click.echo(f"intercept:     {instance.intercept_url}")
+    print(f"name:          {instance.name}")
+    print(f"did:           {instance.did}")
+    print(f"peer endpoint: {instance.peer_endpoint}")
+    print(f"intercept:     {instance.intercept_url}")
     _wait_forever()
     instance.shutdown()
 
@@ -175,77 +171,74 @@ def _load_script_arg(path: str | None) -> dict:
     return load_json(path) if path else bundled("ue_registration.json")
 
 
-@click.group()
-def harness() -> None:
+def harness(argv: list[str] | None = None) -> int:
     """Bring up a local topology and replay scripted NF traffic."""
+    parser, commands = _group("harness", harness.__doc__)
+    up = _command(commands, "up", harness_up)
+    up.add_argument("--topology", type=_existing)
+    up.add_argument("--state-dir")
+    run = _command(commands, "run", harness_run)
+    run.add_argument("--topology", type=_existing)
+    run.add_argument("--script", type=_existing)
+    run.add_argument("--mode", choices=["plain", "tunneled"], required=True)
+    run.add_argument("--state-dir")
+    bench = _command(commands, "bench", harness_bench)
+    bench.add_argument("--topology", type=_existing)
+    bench.add_argument("--script", type=_existing)
+    bench.add_argument("--iterations", type=int, default=30, help="default: %(default)s")
+    bench.add_argument("--out")
+    args = parser.parse_args(argv)
+    return args.fn(args) or 0
 
 
-@harness.command("up")
-@click.option("--topology", "topology_path", type=click.Path(exists=True), default=None)
-@click.option("--state-dir", type=click.Path(), default=None)
-def harness_up(topology_path: str | None, state_dir: str | None) -> None:
+def harness_up(args) -> None:
     """Launch the topology and keep it running for manual poking."""
-    topology = launch_topology(_load_topology_arg(topology_path), state_dir=state_dir)
-    click.echo(f"registry: {topology.registry_server.base_url}")
+    topology = launch_topology(_load_topology_arg(args.topology), state_dir=args.state_dir)
+    print(f"registry: {topology.registry_server.base_url}")
     for root in topology.roots.values():
-        click.echo(f"root {root.name}: {root.did}")
+        print(f"root {root.name}: {root.did}")
     for instance in topology.ipmfs.values():
-        click.echo(f"ipmf {instance.name}: {instance.did} at {instance.server.endpoint}")
+        print(f"ipmf {instance.name}: {instance.did} at {instance.server.endpoint}")
     for handle in topology.nfs.values():
-        click.echo(
-            f"nf {handle.name}: mock {handle.mock.base_url} "
-            f"intercept {handle.sidecar.intercept_url} did {handle.sidecar.did}"
-        )
+        print(f"nf {handle.name}: mock {handle.mock.base_url} "
+              f"intercept {handle.sidecar.intercept_url} did {handle.sidecar.did}")
     _wait_forever()
     topology.shutdown()
 
 
-@harness.command("run")
-@click.option("--topology", "topology_path", type=click.Path(exists=True), default=None)
-@click.option("--script", "script_path", type=click.Path(exists=True), default=None)
-@click.option("--mode", type=click.Choice(["plain", "tunneled"]), required=True)
-@click.option("--state-dir", type=click.Path(), default=None)
-def harness_run(topology_path: str | None, script_path: str | None,
-                mode: str, state_dir: str | None) -> None:
+def harness_run(args) -> int:
     """Run a scripted scenario once and report per-step outcomes."""
-    script = _load_script_arg(script_path)
-    topology = launch_topology(_load_topology_arg(topology_path), state_dir=state_dir)
+    script = _load_script_arg(args.script)
+    topology = launch_topology(_load_topology_arg(args.topology), state_dir=args.state_dir)
     try:
-        transcript = run_scenario(topology, script, mode, halt_on_failure=False)
+        transcript = run_scenario(topology, script, args.mode, halt_on_failure=False)
     finally:
         topology.shutdown()
     for result in transcript.results:
         marker = "ok " if result.ok else "FAIL"
-        click.echo(
+        print(
             f"{marker} [{result.index:3d}] {result.caller}->{result.callee} "
             f"{result.method} {result.path} -> {result.status}"
         )
-    click.echo(
+    print(
         f"{transcript.mode}: {sum(r.ok for r in transcript.results)}/"
         f"{len(transcript.results)} steps ok in {transcript.duration_s:.3f}s, "
         f"{transcript.handshakes} handshakes"
     )
-    if not transcript.passed:
-        sys.exit(1)
+    return 0 if transcript.passed else 1
 
 
-@harness.command("bench")
-@click.option("--topology", "topology_path", type=click.Path(exists=True), default=None)
-@click.option("--script", "script_path", type=click.Path(exists=True), default=None)
-@click.option("--iterations", type=int, default=30, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-def harness_bench(topology_path: str | None, script_path: str | None,
-                  iterations: int, out_path: str | None) -> None:
+def harness_bench(args) -> None:
     """Benchmark plain vs tunneled execution of the script."""
-    script = _load_script_arg(script_path)
-    topology = launch_topology(_load_topology_arg(topology_path))
+    script = _load_script_arg(args.script)
+    topology = launch_topology(_load_topology_arg(args.topology))
     try:
-        report = benchmark(topology, script, iterations=iterations)
+        report = benchmark(topology, script, iterations=args.iterations)
     finally:
         topology.shutdown()
-    click.echo(format_report(report))
-    if out_path:
-        Path(out_path).write_text(
+    print(format_report(report))
+    if args.out:
+        Path(args.out).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        click.echo(f"wrote report to {out_path}")
+        print(f"wrote report to {args.out}")

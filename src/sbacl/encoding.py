@@ -15,7 +15,7 @@ import json
 import logging
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -83,16 +83,17 @@ def sha256(data: bytes) -> bytes:
 
 
 class JsonLines:
-    """An append-only file of sorted-key JSON objects, one per line.
+    """A file of sorted-key JSON objects, one per line, appended or rewritten.
 
-    Each append opens, writes and closes the file, so nothing holds it open
+    Each write opens, writes and closes the file, so nothing holds it open
     between writes. A path of None disables the log: appends are dropped
     and there is nothing to replay.
     """
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path else None
-        self._lock = threading.Lock()
+        # Reentrant, so a subclass can hold it across a read and a write.
+        self._lock = threading.RLock()
 
     def append(self, record: dict) -> None:
         if self.path is None:
@@ -101,6 +102,14 @@ class JsonLines:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def rewrite(self, records: Iterable[dict]) -> None:
+        """Replace the whole file with `records`, through a temp file."""
+        temp = self.path.with_name(self.path.name + ".tmp")
+        with self._lock:
+            with open(temp, "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+            temp.replace(self.path)
 
     def lines(self) -> Iterator[tuple[int, str]]:
         """(line number, text) for each non-blank line, read in one go.

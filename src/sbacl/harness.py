@@ -28,7 +28,7 @@ from .httputil import HttpClient
 from .ipmf import Ipmf, PolicyRule
 from .mocknf import Behavior, MockNf
 from .protocols import run_issuance
-from .sidecar import LocalService, RouteRule, Sidecar
+from .sidecar import RouteRule, Sidecar
 from .vdr import Registry
 from .vdr_http import RegistryHttpClient, RegistryServer
 
@@ -100,11 +100,8 @@ class NfHandle:
     name: str
     nf_type: str
     domain: str
-    ipmf_name: str
     mock: MockNf
     sidecar: Sidecar
-    grants: list[dict]
-    bootstrap_creds: list[VerifiableCredential] = dc_field(default_factory=list)
     operational_creds: list[VerifiableCredential] = dc_field(default_factory=list)
 
 
@@ -155,6 +152,19 @@ def _derive_policy(config: dict, ipmf_name: str) -> list[PolicyRule]:
                 },
             ))
     return rules
+
+
+def provision(sidecar: Sidecar, bootstrap_creds: list[VerifiableCredential],
+              requests: list[dict]) -> list[VerifiableCredential]:
+    """Obtain each `{"issuer": did, "kind", "claims"}` request through the issuance
+    protocol, presenting `bootstrap_creds`, and add it to the sidecar."""
+    obtained = []
+    for request in requests:
+        vc = run_issuance(EnvelopeChannel(sidecar, request["issuer"]), sidecar.keys,
+                          sidecar.did, bootstrap_creds, request["kind"], request["claims"])
+        sidecar.add_credential(vc)
+        obtained.append(vc)
+    return obtained
 
 
 def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topology:
@@ -208,67 +218,43 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
                 started.callback(child.shutdown)
                 ipmfs[child.name] = child
 
-        # Mock NFs and sidecars; routes are wired in a second pass once every
-        # sidecar has a DID.
+        # Each NF's mock and sidecar, provisioned with a bootstrap credential
+        # from its IPMF, then operational credentials through the issuance
+        # protocol proper. Routes are wired once every sidecar has a DID.
         nfs: dict[str, NfHandle] = {}
         for nf in config.get("nfs", []):
-            domain = domains[nf["domain"]]
             mock = MockNf(nf["name"], nf["nf_type"],
                           [Behavior.from_dict(b) for b in nf.get("behaviors", [])]).start()
             started.callback(mock.stop)
-            trusted = [root_of_domain[nf["domain"]].did] + [
-                root_of_domain[d].did for d in domain.get("trusted_foreign_roots", [])
-            ]
-            sidecar = Sidecar(
-                name=f"{nf['name']}-sidecar",
-                nf_type=nf["nf_type"],
-                registry=client,
-                local_nf_url=mock.base_url,
-                trusted_roots=trusted,
-                local_services=[LocalService(s["name"], s["path_prefix"])
-                                for s in nf.get("services", [])],
-                association_store=(state_dir / f"{nf['name']}-assoc.jsonl") if state_dir else None,
-            )
+            trusting = [nf["domain"], *domains[nf["domain"]].get("trusted_foreign_roots", [])]
+            sidecar = Sidecar.from_config({
+                "name": f"{nf['name']}-sidecar",
+                "nf_type": nf["nf_type"],
+                "local_nf_url": mock.base_url,
+                "trusted_roots": [root_of_domain[d].did for d in trusting],
+                "local_services": nf.get("services", []),
+                "association_store": (state_dir / f"{nf['name']}-assoc.jsonl") if state_dir else None,
+            }, client)
             sidecar.bootstrap()
             started.callback(sidecar.shutdown)
+            ipmf = ipmfs[nf["ipmf"]]
+            identity = {"nf_type": nf["nf_type"], "domain": nf["domain"]}
+            bootstrap = ipmf.issue_credential_to(sidecar.did, KIND_AUTHN,
+                                                 {**identity, "bootstrap": "true"})
+            requests = [{"issuer": ipmf.did, "kind": KIND_AUTHN, "claims": identity}]
+            requests += [{"issuer": ipmfs[grant.get("ipmf", nf["ipmf"])].did, "kind": KIND_AUTHZ,
+                          "claims": {k: grant[k] for k in ("producer", "service", "ops")}}
+                         for grant in nf.get("grants", [])]
             nfs[nf["name"]] = NfHandle(
-                name=nf["name"], nf_type=nf["nf_type"], domain=nf["domain"],
-                ipmf_name=nf["ipmf"], mock=mock, sidecar=sidecar,
-                grants=list(nf.get("grants", [])),
+                name=nf["name"], nf_type=nf["nf_type"], domain=nf["domain"], mock=mock,
+                sidecar=sidecar, operational_creds=provision(sidecar, [bootstrap], requests),
             )
 
         for nf in config.get("nfs", []):
-            handle = nfs[nf["name"]]
-            handle.sidecar.routes = [
-                RouteRule(
-                    host=route["host"],
-                    target_did=nfs[route["target"]].sidecar.did,
-                    path_prefix=route.get("path_prefix", "/"),
-                )
-                for route in nf.get("routes", [])
-            ]
-
-        # Provisioning: bootstrap credential directly from the NF's IPMF, then
-        # operational credentials through the issuance protocol proper, each
-        # sidecar resolving (and caching) its issuers with its own resolver.
-        for handle in nfs.values():
-            sc = handle.sidecar
-            ipmf = ipmfs[handle.ipmf_name]
-            bootstrap = ipmf.issue_credential_to(
-                sc.did, KIND_AUTHN,
-                {"nf_type": handle.nf_type, "domain": handle.domain, "bootstrap": "true"},
-            )
-            handle.bootstrap_creds = [bootstrap]
-
-            wanted = [(ipmf, KIND_AUTHN, {"nf_type": handle.nf_type, "domain": handle.domain})]
-            wanted += [(ipmfs[grant.get("ipmf", handle.ipmf_name)], KIND_AUTHZ,
-                        {k: grant[k] for k in ("producer", "service", "ops")})
-                       for grant in handle.grants]
-            for issuer, kind, claims in wanted:
-                vc = run_issuance(EnvelopeChannel(sc, issuer.did), sc.keys, sc.did,
-                                  handle.bootstrap_creds, kind, claims)
-                sc.add_credential(vc)
-                handle.operational_creds.append(vc)
+            nfs[nf["name"]].sidecar.routes = [
+                RouteRule(route["host"], nfs[route["target"]].sidecar.did,
+                          route.get("path_prefix", "/"))
+                for route in nf.get("routes", [])]
 
         topology = Topology(
             registry=registry, registry_server=registry_server, client=client,

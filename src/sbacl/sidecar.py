@@ -32,7 +32,7 @@ from .credentials import (
     build_presentation,
     evaluate_authorization,
 )
-from .encoding import JsonLines
+from .encoding import JsonLines, b64u_decode
 from .envelope import (
     MSG_REHANDSHAKE,
     MSG_TUNNEL_REQUEST,
@@ -129,22 +129,53 @@ class Association:
 class AssociationStore(JsonLines):
     """One record per association state change.
 
-    Loading takes the last record per (peer, direction). A corrupt file is
-    treated as absent: the sidecar starts with no associations and logs a
-    warning, because guessing at partial state would be worse.
+    Loading takes the last record per (peer, direction); a `dropped` record
+    removes its pair. A corrupt file counts as absent: the sidecar starts
+    empty and logs a warning, as guessing at partial state would be worse.
+    Past 2 x live + `COMPACT_FLOOR` lines the file is rewritten to the live set.
     """
 
+    COMPACT_FLOOR = 32
+    _live: dict[tuple[str, str], Association] | None = None  # set by `load`
+
     def load(self) -> dict[tuple[str, str], Association]:
+        rows = list(self.lines())
+        self._live, self._lines = {}, len(rows)
         try:
-            records = [Association.from_dict(json.loads(line)) for _, line in self.lines()]
+            for _, line in rows:
+                self._apply(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("association store %s is corrupt (%s); starting empty",
                         self.path, exc)
-            return {}
-        return {(assoc.peer, assoc.direction): assoc for assoc in records}
+            self._live = {}
+        return dict(self._live)
 
     def append(self, assoc: Association) -> None:
-        super().append(assoc.to_dict())
+        self._write(assoc.to_dict())
+
+    def drop(self, peer: str, direction: str) -> None:
+        self._write({"peer": peer, "direction": direction, "dropped": True})
+
+    def _apply(self, record: dict) -> None:
+        key = (record["peer"], record["direction"])
+        if record.get("dropped"):
+            self._live.pop(key, None)
+        else:
+            self._live[key] = Association.from_dict(record)
+
+    def _write(self, record: dict) -> None:
+        if self.path is None:
+            return
+        with self._lock:
+            if self._live is None:  # compacting must not lose records never read
+                self.load()
+            self._apply(record)
+            if self._lines < 2 * len(self._live) + self.COMPACT_FLOOR:
+                super().append(record)
+                self._lines += 1
+            else:
+                self.rewrite(assoc.to_dict() for assoc in self._live.values())
+                self._lines = len(self._live)
 
 
 class Sidecar:
@@ -201,6 +232,24 @@ class Sidecar:
         self.responder = HandshakeResponder(
             profile=self.profile,
             on_established=self._on_inbound_established,
+        )
+
+    @classmethod
+    def from_config(cls, config: dict, registry) -> "Sidecar":
+        """Build a sidecar from the keys a `sidecar run` config holds."""
+        return cls(
+            name=config["name"],
+            nf_type=config["nf_type"],
+            registry=registry,
+            local_nf_url=config["local_nf_url"],
+            trusted_roots=config.get("trusted_roots", []),
+            keys=generate_keypair(b64u_decode(config["seed"])) if config.get("seed") else None,
+            routes=[RouteRule(r["host"], r["target_did"], r.get("path_prefix", "/"))
+                    for r in config.get("routes", [])],
+            local_services=[LocalService(s["name"], s["path_prefix"])
+                            for s in config.get("local_services", [])],
+            association_store=config.get("association_store"),
+            cache_max_age=float(config.get("cache_max_age", DEFAULT_CACHE_MAX_AGE)),
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -293,7 +342,9 @@ class Sidecar:
 
     def _drop_outbound(self, peer: str) -> None:
         with self._assoc_lock:
-            self.associations.pop((peer, "outbound"), None)
+            dropped = self.associations.pop((peer, "outbound"), None)
+        if dropped is not None:
+            self._store.drop(peer, "outbound")
 
     def forget_peer(self, peer: str) -> None:
         """Drop the outbound association so the next call re-handshakes.

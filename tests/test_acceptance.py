@@ -14,7 +14,6 @@ import time
 
 import pytest
 import requests
-from click.testing import CliRunner
 
 from sbacl.cli import ipmf as ipmf_cli
 from sbacl.credentials import (
@@ -551,12 +550,11 @@ def test_criterion_6_revocation_end_to_end(tmp_path):
             "registry_url": server.base_url,
             "issuance_log": str(log),
         }), encoding="utf-8")
-        result = CliRunner().invoke(ipmf_cli, [
+        assert ipmf_cli([
             "revoke", "--config", str(config),
             "--registry-id", issuer.revocation_registry_id,
             "--credential", authz.credential_id,
-        ])
-        assert result.exit_code == 0, result.output
+        ]) == 0
 
         consumer.forget_peer(producer.did)
         denied = requests.get(url, headers={"Host": "UDM-1"}, timeout=10)

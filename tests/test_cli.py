@@ -1,23 +1,48 @@
+import contextlib
+import io
 import json
+import sys
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from sbacl.cli import harness, ipmf, sidecar
-from sbacl.credentials import KIND_AUTHN, KIND_DEL, VerifiableCredential
+from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, KIND_DEL, VerifiableCredential
 from sbacl.encoding import b64u_encode
 from sbacl.errors import ConfigError, IssuanceError
 from sbacl.identity import create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule
 from sbacl.mocknf import MockNf
+from sbacl.sidecar import Sidecar
 
 from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files, registered_identity
 
 SEED = bytes(range(32))
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
 def invoke(cmd, *args):
-    return CliRunner().invoke(cmd, [str(a) for a in args])
+    """Run an entry point in-process as its console script would: the exit
+    code from its return or `SystemExit` (a message counts as 1 and goes to
+    stderr), any other exception as 1. The output is stdout then stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            exit_code = cmd([str(a) for a in args])
+        except SystemExit as exc:
+            exit_code = exc.code
+            if isinstance(exc.code, str):
+                print(exc.code, file=sys.stderr)
+                exit_code = 1
+        except Exception as exc:  # a traceback exits 1
+            exception, exit_code = exc, 1
+    return Result(exit_code or 0, stdout.getvalue() + stderr.getvalue(), exception)
 
 
 def write_json(path, obj):
@@ -30,11 +55,12 @@ def quiet_serve(monkeypatch):
     monkeypatch.setattr("sbacl.cli._wait_forever", lambda: None)
 
 
+# The ids name each case by position, as they always have.
 @pytest.mark.parametrize("group,subcommands", [
     (ipmf, ("run", "delegate", "revoke")),
     (sidecar, ("run",)),
     (harness, ("up", "run", "bench")),
-])
+], ids=[f"group{i}-subcommands{i}" for i in range(3)])
 def test_help_lists_subcommands(group, subcommands):
     result = invoke(group, "--help")
     assert result.exit_code == 0
@@ -204,8 +230,8 @@ def test_sidecar_run_provisions_over_the_wire(registry_http, tmp_path, quiet_ser
         "trusted_roots": [issuer.did],
         "seed": b64u_encode(SEED),
         "bootstrap_credentials": [cred_path],
-        "credential_requests": [{"kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}}],
-        "ipmf_did": issuer.did,
+        "credential_requests": [{"issuer": issuer.did, "kind": KIND_AUTHN,
+                                 "claims": {"nf_type": "AMF"}}],
     })
     try:
         result = invoke(sidecar, "run", "--config", config)
@@ -226,12 +252,90 @@ def test_sidecar_run_refuses_requests_without_bootstrap(registry_http, tmp_path,
         "nf_type": "AMF",
         "registry_url": server.base_url,
         "local_nf_url": "http://127.0.0.1:9",
-        "credential_requests": [{"kind": KIND_AUTHN, "claims": {}}],
-        "ipmf_did": "did:svdr:whatever",
+        "credential_requests": [{"issuer": "did:svdr:whatever", "kind": KIND_AUTHN,
+                                 "claims": {}}],
     })
     result = invoke(sidecar, "run", "--config", config)
     assert result.exit_code == 1
     assert "bootstrap_credentials" in result.output
+
+
+def test_sidecar_run_asks_each_request_of_its_own_issuer(registry_http, tmp_path,
+                                                         quiet_serve, monkeypatch):
+    _, server, client = registry_http
+    alpha = Ipmf(
+        name="alpha", registry=client, allow_direct_issuance=True,
+        policy=[PolicyRule(kind=KIND_AUTHN,
+                           match={"nf_type": "AMF", "bootstrap": "true"},
+                           request_match={"nf_type": "AMF"})],
+    )
+    grant = {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}
+    beta = Ipmf(
+        name="beta", registry=client, trusted_foreign_roots=[alpha.did],
+        allow_direct_issuance=True,
+        policy=[PolicyRule(kind=KIND_AUTHZ, match={"nf_type": "AMF", "bootstrap": "true"},
+                           request_match=grant)],
+    )
+    for issuer in (alpha, beta):
+        issuer.bootstrap()
+    nf = MockNf("AMF", "AMF", []).start()
+    did = create_registry_did(generate_keypair(SEED))[0]
+    bootstrap = alpha.issue_credential_to(did, KIND_AUTHN, {"nf_type": "AMF", "bootstrap": "true"})
+    config = write_json(tmp_path / "sidecar.json", {
+        "name": "amf-sidecar",
+        "nf_type": "AMF",
+        "registry_url": server.base_url,
+        "local_nf_url": nf.base_url,
+        "trusted_roots": [alpha.did, beta.did],
+        "seed": b64u_encode(SEED),
+        "bootstrap_credentials": [write_json(tmp_path / "bootstrap.json", bootstrap.to_dict())],
+        "credential_requests": [
+            {"issuer": alpha.did, "kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}},
+            {"issuer": beta.did, "kind": KIND_AUTHZ, "claims": grant},
+        ],
+    })
+    added = []
+    add_credential = Sidecar.add_credential
+    monkeypatch.setattr(Sidecar, "add_credential",
+                        lambda self, vc: (added.append(vc), add_credential(self, vc)))
+    try:
+        result = invoke(sidecar, "run", "--config", config)
+        assert result.exit_code == 0, result.output
+        assert [(vc.kind, vc.issuer) for vc in added] == [
+            (KIND_AUTHN, alpha.did), (KIND_AUTHZ, beta.did)]
+        for vc in added:
+            assert f"obtained {vc.kind} credential {vc.credential_id}" in result.output
+    finally:
+        nf.stop()
+        alpha.shutdown()
+        beta.shutdown()
+
+
+def test_sidecar_run_refuses_a_request_without_issuer(registry_http, tmp_path,
+                                                      quiet_serve, monkeypatch):
+    _, server, client = registry_http
+    issuer = Ipmf(name="issuer", registry=client, allow_direct_issuance=True)
+    issuer.bootstrap(serve=False)
+    bootstrap = issuer.issue_credential_to(
+        create_registry_did(generate_keypair(SEED))[0], KIND_AUTHN,
+        {"nf_type": "AMF", "bootstrap": "true"})
+    config = write_json(tmp_path / "sidecar.json", {
+        "name": "amf-sidecar",
+        "nf_type": "AMF",
+        "registry_url": server.base_url,
+        "local_nf_url": "http://127.0.0.1:9",
+        "bootstrap_credentials": [write_json(tmp_path / "bootstrap.json", bootstrap.to_dict())],
+        "credential_requests": [
+            {"issuer": issuer.did, "kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}},
+            {"kind": KIND_AUTHN, "claims": {"nf_type": "AMF"}},
+        ],
+    })
+    listening = []
+    monkeypatch.setattr(Sidecar, "bootstrap", lambda self, **_: listening.append(self))
+    result = invoke(sidecar, "run", "--config", config)
+    assert (result.exit_code, result.exception, listening) == (1, None, [])
+    assert "credential_requests[1] names no issuer" in result.output
+    issuer.shutdown()
 
 
 # --- harness --------------------------------------------------------------------
@@ -266,7 +370,7 @@ def test_harness_run_flags_failing_steps(tmp_path):
 def test_harness_run_rejects_unknown_mode(tmp_path):
     result = invoke(harness, "run", "--mode", "carrier-pigeon")
     assert result.exit_code == 2
-    assert "Invalid value" in result.output
+    assert "invalid choice" in result.output
 
 
 def test_harness_bench_writes_report(tmp_path):

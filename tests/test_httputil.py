@@ -164,5 +164,6 @@ def test_close_drops_idle_connections():
 def test_cli_import_loads_no_third_party_http_stack():
     env = dict(os.environ, PYTHONPATH=str(Path(sbacl.__file__).parents[1]))
     code = ("import sbacl.cli, sys; "
-            "assert 'requests' not in sys.modules and 'urllib3' not in sys.modules")
+            "assert 'requests' not in sys.modules and 'urllib3' not in sys.modules; "
+            "assert 'click' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -2,6 +2,8 @@ import json
 import logging
 import math
 import socket
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -370,6 +372,35 @@ def test_consumer_restart_reuses_association(world, tmp_path):
     resp = world.call("GET", "/nudm-sdm/v2/data", consumer=reborn)
     assert resp.status_code == 200
     assert reborn.handshakes_initiated == 0
+
+
+GRANT = {"producer": "UDM", "service": "nudm-sdm", "ops": "GET"}
+
+
+def test_forgotten_association_stays_forgotten_after_restart(world):
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    world.consumer.forget_peer(world.producer.did)
+    world.consumer.shutdown()
+
+    reborn = world.make_consumer("AMF-1", [GRANT], store=world.consumer._store.path,
+                                 keys=world.consumer.keys)
+    assert (world.producer.did, "outbound") not in reborn.associations
+    assert world.call("GET", "/nudm-sdm/v2/data", consumer=reborn).status_code == 200
+    assert reborn.handshakes_initiated == 1
+
+
+def test_association_store_stays_bounded_under_churn(world):
+    cycles = AssociationStore.COMPACT_FLOOR + 8
+    for _ in range(cycles):
+        assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+        world.consumer.forget_peer(world.producer.did)
+    assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
+    assert world.consumer.handshakes_initiated == cycles + 1
+
+    for sidecar in (world.consumer, world.producer):
+        lines = sidecar._store.path.read_text().splitlines()
+        assert len(lines) <= 2 * len(sidecar.associations) + AssociationStore.COMPACT_FLOOR
+        assert AssociationStore(sidecar._store.path).load() == sidecar.associations
 
 
 def test_producer_state_loss_triggers_one_rehandshake(world):
@@ -751,6 +782,33 @@ def test_association_store_drops_only_a_torn_last_record(tmp_path):
     path.write_bytes(path.read_bytes()[:-40])  # a crash in the middle of the last append
     loaded = AssociationStore(path).load()
     assert set(loaded) == {("did:svdr:p", "outbound"), ("did:svdr:q", "outbound")}
+
+
+def test_association_store_keeps_every_concurrent_write(tmp_path):
+    path = tmp_path / "assoc.jsonl"
+    store = AssociationStore(path)
+    store.load()
+    workers, rounds = 8, 100
+
+    def churn(worker):
+        for _ in range(rounds):
+            store.drop(f"did:svdr:{worker}", "outbound")
+            store.append(Association(peer=f"did:svdr:{worker}", direction="outbound"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(AssociationStore(path).load()) == {
+        (f"did:svdr:{w}", "outbound") for w in range(workers)}
+    assert len(path.read_text().splitlines()) <= 2 * workers + AssociationStore.COMPACT_FLOOR
 
 
 def test_association_store_disabled(tmp_path):
