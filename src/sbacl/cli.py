@@ -19,7 +19,7 @@ from .harness import (
     provision,
     run_scenario,
 )
-from .ipmf import Ipmf, load_config
+from .ipmf import Ipmf
 from .sidecar import Sidecar
 from .vdr_http import RegistryHttpClient
 
@@ -78,13 +78,22 @@ def ipmf(argv: list[str] | None = None) -> int:
     return args.fn(args) or 0
 
 
+def _load_ipmf(path: str, needs_registry_to: str | None = None) -> tuple[Ipmf, dict]:
+    """The IPMF a config file describes, and the config; `needs_registry_to`
+    names what the command cannot do without `registry_url`."""
+    config = load_json(path)
+    url = config.get("registry_url")
+    instance = Ipmf.from_config(config, RegistryHttpClient(url) if url else None)
+    if needs_registry_to and not url:
+        raise SystemExit(f"Error: config needs registry_url to {needs_registry_to}")
+    return instance, config
+
+
 def ipmf_run(args) -> None:
     """Serve the issuance protocol for the configured IPMF."""
-    config = load_config(args.config)
-    if not config.registry_url:
-        raise SystemExit("Error: config needs registry_url to serve")
-    instance = Ipmf.from_config(config, RegistryHttpClient(config.registry_url))
-    instance.bootstrap(host=config.listen_host, port=config.listen_port)
+    instance, config = _load_ipmf(args.config, "serve")
+    instance.bootstrap(host=config.get("listen_host", "127.0.0.1"),
+                       port=int(config.get("listen_port", 0)))
     print(f"name:                {instance.name}")
     print(f"did:                 {instance.did}")
     print(f"endpoint:            {instance.server.endpoint}")
@@ -96,9 +105,7 @@ def ipmf_run(args) -> None:
 
 def ipmf_delegate(args) -> None:
     """Issue a delegation credential for a child IPMF."""
-    config = load_config(args.config)
-    registry = RegistryHttpClient(config.registry_url) if config.registry_url else None
-    instance = Ipmf.from_config(config, registry)
+    instance, _ = _load_ipmf(args.config)
     vc = instance.delegate_to_child(args.child, args.rights.split(","), validity=args.validity)
     payload = json.dumps(vc.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -110,10 +117,7 @@ def ipmf_delegate(args) -> None:
 
 def ipmf_revoke(args) -> None:
     """Revoke a credential previously issued by this IPMF."""
-    config = load_config(args.config)
-    if not config.registry_url:
-        raise SystemExit("Error: config needs registry_url to reach the registry")
-    instance = Ipmf.from_config(config, RegistryHttpClient(config.registry_url))
+    instance, _ = _load_ipmf(args.config, "reach the registry")
     instance.revocation_registry_id = args.registry_id
     instance.revoke_credential(args.credential)
     print(f"revoked {args.credential}")

@@ -15,24 +15,25 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import statistics
 import time
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from pathlib import Path
 
-from .credentials import KIND_AUTHN, KIND_AUTHZ, VerifiableCredential
+from .credentials import ALL_RIGHTS, KIND_AUTHN, KIND_AUTHZ, VerifiableCredential
+from .encoding import b64u_encode
 from .envelope_http import EnvelopeChannel
 from .errors import ConfigError, SbaclError
 from .httputil import HttpClient
-from .ipmf import Ipmf, PolicyRule
+from .identity import create_registry_did, generate_keypair
+from .ipmf import Ipmf
 from .mocknf import Behavior, MockNf
 from .protocols import run_issuance
 from .sidecar import RouteRule, Sidecar
 from .vdr import Registry
 from .vdr_http import RegistryHttpClient, RegistryServer
-
-ALL_IPMF_RIGHTS = ("issue_authn", "issue_authz", "delegate")
 
 
 # --- configuration ------------------------------------------------------------
@@ -124,33 +125,29 @@ class Topology:
         return sum(h.sidecar.handshakes_initiated for h in self.nfs.values())
 
 
-def _derive_policy(config: dict, ipmf_name: str) -> list[PolicyRule]:
-    """Build the issuance policy an IPMF needs for the NFs it serves.
+def _derive_policy(config: dict, ipmf_name: str) -> list[dict]:
+    """Build the issuance policy rules an IPMF needs for the NFs it serves.
 
     Each NF gets an AuthN rule gated on its bootstrap claims, and one AuthZ
     rule per grant, pinned to the exact producer/service/ops requested.
     """
-    rules: list[PolicyRule] = []
+    rules: list[dict] = []
     for nf in config.get("nfs", []):
         if nf["ipmf"] == ipmf_name:
-            rules.append(PolicyRule(
-                kind=KIND_AUTHN,
-                match={"nf_type": nf["nf_type"], "bootstrap": "true"},
-                request_match={"nf_type": nf["nf_type"]},
-                grant={"nf_type": nf["nf_type"], "domain": nf["domain"]},
-            ))
+            rules.append({
+                "kind": KIND_AUTHN,
+                "match": {"nf_type": nf["nf_type"], "bootstrap": "true"},
+                "request_match": {"nf_type": nf["nf_type"]},
+                "grant": {"nf_type": nf["nf_type"], "domain": nf["domain"]},
+            })
         for grant in nf.get("grants", []):
             if grant.get("ipmf", nf["ipmf"]) != ipmf_name:
                 continue
-            rules.append(PolicyRule(
-                kind=KIND_AUTHZ,
-                match={"nf_type": nf["nf_type"], "bootstrap": "true"},
-                request_match={
-                    "producer": grant["producer"],
-                    "service": grant["service"],
-                    "ops": grant["ops"],
-                },
-            ))
+            rules.append({
+                "kind": KIND_AUTHZ,
+                "match": {"nf_type": nf["nf_type"], "bootstrap": "true"},
+                "request_match": {k: grant[k] for k in ("producer", "service", "ops")},
+            })
     return rules
 
 
@@ -193,27 +190,31 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
         roots: dict[str, Ipmf] = {}
         root_of_domain: dict[str, Ipmf] = {}
         for domain in domains.values():
-            root = Ipmf(name=domain["root"]["name"], registry=client)
+            root = Ipmf.from_config({"name": domain["root"]["name"]}, client)
             root.bootstrap(serve=False)
             started.callback(root.shutdown)
             roots[root.name] = root
             root_of_domain[domain["name"]] = root
 
-        # Child IPMFs with their delegation chains, policies, and foreign trust.
+        # Child IPMFs, each built from the config its daemon would read: a
+        # fresh seed, the root's delegation to that seed's DID, the policy
+        # its NFs need, and the roots of the domains it trusts.
         ipmfs: dict[str, Ipmf] = {}
         for domain in domains.values():
+            root = root_of_domain[domain["name"]]
             foreign_roots = [root_of_domain[d].did for d in domain.get("trusted_foreign_roots", [])]
             for entry in domain.get("ipmfs", []):
-                root = root_of_domain[domain["name"]]
-                child = Ipmf(
-                    name=entry["name"],
-                    registry=client,
-                    policy=_derive_policy(config, entry["name"]),
-                    trusted_foreign_roots=foreign_roots,
-                    issuance_log=(state_dir / f"{entry['name']}-issued.jsonl") if state_dir else None,
-                )
-                delegation = root.delegate_to_child(child.did, entry.get("rights", ALL_IPMF_RIGHTS))
-                child.parent_chain = [delegation]
+                seed = os.urandom(32)
+                delegation = root.delegate_to_child(create_registry_did(generate_keypair(seed))[0],
+                                                    entry.get("rights", ALL_RIGHTS))
+                child = Ipmf.from_config({
+                    "name": entry["name"],
+                    "seed": b64u_encode(seed),
+                    "parent_chain": [delegation.to_dict()],
+                    "policy": _derive_policy(config, entry["name"]),
+                    "trusted_foreign_roots": foreign_roots,
+                    "issuance_log": (state_dir / f"{entry['name']}-issued.jsonl") if state_dir else None,
+                }, client)
                 child.bootstrap()
                 started.callback(child.shutdown)
                 ipmfs[child.name] = child

@@ -77,13 +77,6 @@ class PolicyRule:
                 return False
         return True
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "match": self.match, "request_match": self.request_match,
-               "grant": self.grant}
-        if self.validity is not None:
-            out["validity"] = self.validity
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyRule":
         return cls(
@@ -93,71 +86,6 @@ class PolicyRule:
             grant=dict(data.get("grant", {})),
             validity=data.get("validity"),
         )
-
-
-@dataclass
-class IpmfConfig:
-    name: str
-    seed: bytes | None = None
-    registry_url: str | None = None
-    parent_chain: list[VerifiableCredential] = dc_field(default_factory=list)
-    trusted_foreign_roots: list[str] = dc_field(default_factory=list)
-    policy: list[PolicyRule] = dc_field(default_factory=list)
-    allow_direct_issuance: bool = False
-    issuance_log: str | None = None
-    listen_host: str = "127.0.0.1"
-    listen_port: int = 0
-
-
-def load_config(path: str | Path) -> IpmfConfig:
-    """Parse and validate an IPMF config file, reporting every problem."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    problems: list[str] = []
-    seed = None
-    if raw.get("seed") is not None:
-        seed = b64u_decode(raw["seed"])
-        if len(seed) != 32:
-            problems.append("seed must decode to 32 bytes")
-            seed = None
-    chain = [VerifiableCredential.from_dict(c) for c in raw.get("parent_chain", [])]
-    rules = [PolicyRule.from_dict(r) for r in raw.get("policy", [])]
-
-    if chain and seed is None:
-        problems.append("parent_chain requires a fixed seed so the DID matches the delegation")
-    try:
-        effective = chain_rights(chain)
-    except ValueError as exc:
-        problems.append(f"parent_chain terminal rights unparseable: {exc}")
-        effective = frozenset()
-    for index, rule in enumerate(rules):
-        if rule.kind not in KINDS:
-            problems.append(f"policy[{index}]: unknown kind {rule.kind!r}")
-        elif creds.REQUIRED_RIGHT[rule.kind] not in effective:
-            problems.append(
-                f"policy[{index}]: grants {rule.kind} but effective rights are {sorted(effective)}"
-            )
-    if chain and seed is not None:
-        kp = generate_keypair(seed)
-        own_did = create_registry_did(kp)[0]
-        if chain[-1].subject != own_did:
-            problems.append(
-                f"parent_chain terminates at {chain[-1].subject}, but the seed derives {own_did}"
-            )
-    if problems:
-        raise ConfigError(problems)
-    return IpmfConfig(
-        name=raw.get("name", "ipmf"),
-        seed=seed,
-        registry_url=raw.get("registry_url"),
-        parent_chain=chain,
-        trusted_foreign_roots=list(raw.get("trusted_foreign_roots", [])),
-        policy=rules,
-        allow_direct_issuance=bool(raw.get("allow_direct_issuance", False)),
-        issuance_log=raw.get("issuance_log"),
-        listen_host=raw.get("listen_host", "127.0.0.1"),
-        listen_port=int(raw.get("listen_port", 0)),
-    )
 
 
 class Ipmf:
@@ -210,16 +138,58 @@ class Ipmf:
         return TrustPolicy(trusted_roots=frozenset(roots))
 
     @classmethod
-    def from_config(cls, config: IpmfConfig, registry) -> "Ipmf":
+    def from_config(cls, config: dict, registry) -> "Ipmf":
+        """Build an IPMF from the keys an `ipmf run` config holds.
+
+        Keys: `name`; `seed`, 32 bytes in base64url, optional unless
+        `parent_chain` is given; `parent_chain`, the delegation credentials
+        from the root down to this IPMF; `policy`, a list of `PolicyRule`
+        dicts; `trusted_foreign_roots`, root DIDs of other domains;
+        `allow_direct_issuance`; and `issuance_log`, a file path. Every
+        problem found is reported in one `ConfigError`.
+        """
+        problems: list[str] = []
+        keys = None
+        if config.get("seed") is not None:
+            seed = b64u_decode(config["seed"])
+            if len(seed) == 32:
+                keys = generate_keypair(seed)
+            else:
+                problems.append("seed must decode to 32 bytes")
+        chain = [VerifiableCredential.from_dict(c) for c in config.get("parent_chain", [])]
+        policy = [PolicyRule.from_dict(r) for r in config.get("policy", [])]
+
+        if chain and keys is None:
+            problems.append("parent_chain requires a fixed seed so the DID matches the delegation")
+        try:
+            effective = chain_rights(chain)
+        except ValueError as exc:
+            problems.append(f"parent_chain terminal rights unparseable: {exc}")
+            effective = frozenset()
+        for index, rule in enumerate(policy):
+            if rule.kind not in KINDS:
+                problems.append(f"policy[{index}]: unknown kind {rule.kind!r}")
+            elif creds.REQUIRED_RIGHT[rule.kind] not in effective:
+                problems.append(
+                    f"policy[{index}]: grants {rule.kind} but effective rights are {sorted(effective)}"
+                )
+        if chain and keys is not None:
+            own_did = create_registry_did(keys)[0]
+            if chain[-1].subject != own_did:
+                problems.append(
+                    f"parent_chain terminates at {chain[-1].subject}, but the seed derives {own_did}"
+                )
+        if problems:
+            raise ConfigError(problems)
         return cls(
-            name=config.name,
+            name=config.get("name", "ipmf"),
             registry=registry,
-            keys=generate_keypair(config.seed) if config.seed else None,
-            parent_chain=config.parent_chain,
-            policy=config.policy,
-            trusted_foreign_roots=config.trusted_foreign_roots,
-            allow_direct_issuance=config.allow_direct_issuance,
-            issuance_log=config.issuance_log,
+            keys=keys,
+            parent_chain=chain,
+            policy=policy,
+            trusted_foreign_roots=config.get("trusted_foreign_roots", []),
+            allow_direct_issuance=bool(config.get("allow_direct_issuance", False)),
+            issuance_log=config.get("issuance_log"),
         )
 
     def bootstrap(self, host: str = "127.0.0.1", port: int = 0,

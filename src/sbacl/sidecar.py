@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import ClassVar
@@ -111,7 +110,6 @@ class Association:
     peer: str
     direction: str  # "outbound" | "inbound"
     authz_claims: list[dict] = dc_field(default_factory=list)
-    created_at: int = dc_field(default_factory=lambda: int(time.time()))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -122,60 +120,68 @@ class Association:
             peer=data["peer"],
             direction=data["direction"],
             authz_claims=list(data.get("authz_claims", [])),
-            created_at=int(data.get("created_at", 0)),
         )
 
 
 class AssociationStore(JsonLines):
-    """One record per association state change.
+    """The live associations by (peer, direction), and the file that keeps them.
 
-    Loading takes the last record per (peer, direction); a `dropped` record
-    removes its pair. A corrupt file counts as absent: the sidecar starts
+    `append` and `drop` change `live` and the file together under one lock,
+    so memory and a reload never disagree. The file holds one record per
+    change: loading takes the last record per pair, and a `dropped` record
+    removes its pair. A corrupt file counts as absent: the store starts
     empty and logs a warning, as guessing at partial state would be worse.
     Past 2 x live + `COMPACT_FLOOR` lines the file is rewritten to the live set.
     """
 
     COMPACT_FLOOR = 32
-    _live: dict[tuple[str, str], Association] | None = None  # set by `load`
+
+    def __init__(self, path: str | Path | None):
+        super().__init__(path)
+        self.live: dict[tuple[str, str], Association] = {}
+        self.load()
 
     def load(self) -> dict[tuple[str, str], Association]:
-        rows = list(self.lines())
-        self._live, self._lines = {}, len(rows)
-        try:
-            for _, line in rows:
-                self._apply(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            log.warning("association store %s is corrupt (%s); starting empty",
-                        self.path, exc)
-            self._live = {}
-        return dict(self._live)
+        """Re-read the file into `live`, and return a copy of it."""
+        with self._lock:
+            rows = list(self.lines())
+            self.live.clear()
+            self._lines = len(rows)
+            try:
+                for _, line in rows:
+                    self._apply(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                log.warning("association store %s is corrupt (%s); starting empty",
+                            self.path, exc)
+                self.live.clear()
+            return dict(self.live)
 
     def append(self, assoc: Association) -> None:
         self._write(assoc.to_dict())
 
     def drop(self, peer: str, direction: str) -> None:
-        self._write({"peer": peer, "direction": direction, "dropped": True})
+        with self._lock:
+            if (peer, direction) in self.live:
+                self._write({"peer": peer, "direction": direction, "dropped": True})
 
     def _apply(self, record: dict) -> None:
         key = (record["peer"], record["direction"])
         if record.get("dropped"):
-            self._live.pop(key, None)
+            self.live.pop(key, None)
         else:
-            self._live[key] = Association.from_dict(record)
+            self.live[key] = Association.from_dict(record)
 
     def _write(self, record: dict) -> None:
-        if self.path is None:
-            return
         with self._lock:
-            if self._live is None:  # compacting must not lose records never read
-                self.load()
             self._apply(record)
-            if self._lines < 2 * len(self._live) + self.COMPACT_FLOOR:
+            if self.path is None:
+                return
+            if self._lines < 2 * len(self.live) + self.COMPACT_FLOOR:
                 super().append(record)
                 self._lines += 1
             else:
-                self.rewrite(assoc.to_dict() for assoc in self._live.values())
-                self._lines = len(self._live)
+                self.rewrite(assoc.to_dict() for assoc in self.live.values())
+                self._lines = len(self.live)
 
 
 class Sidecar:
@@ -211,8 +217,8 @@ class Sidecar:
         self.authz_creds: list[VerifiableCredential] = []
 
         self._store = AssociationStore(association_store)
-        self.associations: dict[tuple[str, str], Association] = self._store.load()
-        self._assoc_lock = threading.Lock()
+        # Guards the per-peer handshake locks and the handshake counter.
+        self._lock = threading.Lock()
         self._handshake_locks: dict[str, threading.Lock] = {}
 
         self.peer_server: EnvelopeHttpServer | None = None
@@ -236,7 +242,14 @@ class Sidecar:
 
     @classmethod
     def from_config(cls, config: dict, registry) -> "Sidecar":
-        """Build a sidecar from the keys a `sidecar run` config holds."""
+        """Build a sidecar from the keys a `sidecar run` config holds.
+
+        Keys: `name`; `nf_type`; `local_nf_url`; `trusted_roots`, the root
+        DIDs whose chains it accepts; `seed`, 32 bytes in base64url;
+        `routes`, `{"host", "target_did", "path_prefix"}` each; `local_services`,
+        `{"name", "path_prefix"}` each; `association_store`, a file path; and
+        `cache_max_age`, seconds a resolved peer document is trusted.
+        """
         return cls(
             name=config["name"],
             nf_type=config["nf_type"],
@@ -271,6 +284,10 @@ class Sidecar:
             self.intercept_server.stop()
         self.http.close()
         self._local_http.close()
+
+    @property
+    def associations(self) -> dict[tuple[str, str], Association]:
+        return self._store.live
 
     @property
     def doc_version(self) -> int:
@@ -323,7 +340,7 @@ class Sidecar:
         return None
 
     def _handshake_lock(self, peer: str) -> threading.Lock:
-        with self._assoc_lock:
+        with self._lock:
             return self._handshake_locks.setdefault(peer, threading.Lock())
 
     def _ensure_established(self, peer: str) -> None:
@@ -332,19 +349,10 @@ class Sidecar:
             assoc = self.associations.get((peer, "outbound"))
             if assoc is not None:
                 return
-            with self._assoc_lock:
+            with self._lock:
                 self.handshakes_initiated += 1
             run_handshake(EnvelopeChannel(self, peer), self.profile, peer)
-            assoc = Association(peer=peer, direction="outbound")
-            with self._assoc_lock:
-                self.associations[(peer, "outbound")] = assoc
-            self._store.append(assoc)
-
-    def _drop_outbound(self, peer: str) -> None:
-        with self._assoc_lock:
-            dropped = self.associations.pop((peer, "outbound"), None)
-        if dropped is not None:
-            self._store.drop(peer, "outbound")
+            self._store.append(Association(peer=peer, direction="outbound"))
 
     def forget_peer(self, peer: str) -> None:
         """Drop the outbound association so the next call re-handshakes.
@@ -353,7 +361,7 @@ class Sidecar:
         the pair through a fresh handshake instead of waiting for expiry.
         The peer's document expires but is kept, so the next history read
         must still extend it."""
-        self._drop_outbound(peer)
+        self._store.drop(peer, "outbound")
         self.resolver.cache.expire(peer)
 
     def intercept(self, method: str, path: str, headers: list[tuple[str, str]],
@@ -401,7 +409,7 @@ class Sidecar:
                 raise ProtocolError(f"{peer} keeps demanding a re-handshake")
             log.info("%s: %s requests re-handshake (%s)", self.name, peer,
                      reply.body.get("reason"))
-            self._drop_outbound(peer)
+            self._store.drop(peer, "outbound")
             self._ensure_established(peer)
             return self._tunnel(peer, method, path, headers, body, retry_left - 1)
         if reply.type != MSG_TUNNEL_RESPONSE:
@@ -415,10 +423,7 @@ class Sidecar:
     # -- inbound path -----------------------------------------------------------------
 
     def _on_inbound_established(self, peer: str, authz_claims: list[dict]) -> None:
-        assoc = Association(peer=peer, direction="inbound", authz_claims=authz_claims)
-        with self._assoc_lock:
-            self.associations[(peer, "inbound")] = assoc
-        self._store.append(assoc)
+        self._store.append(Association(peer=peer, direction="inbound", authz_claims=authz_claims))
         log.info("%s: association established with %s", self.name, peer)
 
     def handle_inbound(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
@@ -435,8 +440,7 @@ class Sidecar:
         return None
 
     def _on_tunnel_request(self, msg: ProtocolMessage, sender: str) -> ProtocolMessage:
-        with self._assoc_lock:
-            assoc = self.associations.get((sender, "inbound"))
+        assoc = self.associations.get((sender, "inbound"))
         if assoc is None:
             log.info("%s: tunnel frame from %s without association", self.name, sender)
             return msg.reply(MSG_REHANDSHAKE, {"reason": "unknown_association"})

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +40,6 @@ class RevocationRegistry:
     registry_id: str
     issuer: str
     revoked: set[str] = field(default_factory=set)
-    updated_at: int = 0
 
 
 class Registry:
@@ -131,9 +129,7 @@ class Registry:
         with self._lock:
             if registry_id in self._revregs:
                 raise RegistryError("already_exists", "identical creation request replayed")
-            self._revregs[registry_id] = RevocationRegistry(
-                registry_id=registry_id, issuer=issuer, updated_at=int(time.time())
-            )
+            self._revregs[registry_id] = RevocationRegistry(registry_id=registry_id, issuer=issuer)
             self._log.append({
                 "event": "create_revreg",
                 "issuer": issuer,
@@ -154,7 +150,6 @@ class Registry:
         with self._lock:
             # Re-revoking is an idempotent success: the set only grows.
             reg.revoked.add(credential_id)
-            reg.updated_at = int(time.time())
             self._log.append({
                 "event": "revoke",
                 "registryId": registry_id,

@@ -198,10 +198,23 @@ def test_failed_launch_leaves_no_servers_behind():
     threads_before = threading.active_count()
     with pytest.raises(SbaclError):
         launch_topology(config)
-    deadline = time.time() + 5
-    while threading.active_count() > threads_before and time.time() < deadline:
+    assert threads_settle_to(threads_before)
+
+
+def test_under_licensed_ipmf_fails_its_config_check_and_leaves_no_servers():
+    config = copy.deepcopy(MINI_TOPOLOGY)
+    config["domains"][0]["ipmfs"][0]["rights"] = ["issue_authn", "delegate"]
+    threads_before = threading.active_count()
+    with pytest.raises(ConfigError, match=r"policy\[1\]: grants AuthZ"):
+        launch_topology(config)
+    assert threads_settle_to(threads_before)
+
+
+def threads_settle_to(count, timeout=5):
+    deadline = time.time() + timeout
+    while threading.active_count() > count and time.time() < deadline:
         time.sleep(0.05)
-    assert threading.active_count() <= threads_before
+    return threading.active_count() <= count
 
 
 def test_state_dir_launch_leaves_no_file_open(tmp_path):

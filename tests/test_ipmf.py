@@ -25,7 +25,7 @@ from sbacl.envelope import (
 from sbacl.errors import ConfigError, IssuanceError, PolicyDeniedError
 from sbacl.errors import IdentificationRejectedError
 from sbacl.identity import Resolver, create_registry_did, generate_keypair
-from sbacl.ipmf import Ipmf, PolicyRule, load_config
+from sbacl.ipmf import Ipmf, PolicyRule
 from sbacl.protocols import DEFAULT_SESSION_TIMEOUT, run_issuance
 
 from conftest import registered_identity
@@ -397,23 +397,16 @@ def test_malformed_request_claims_are_denied(domain):
     assert len(child.sessions) == 1
 
 
-# --- config loading ----------------------------------------------------------------
+# --- building from a config ----------------------------------------------------------
 
 
-def write_config(tmp_path, payload):
-    path = tmp_path / "ipmf.json"
-    path.write_text(json.dumps(payload))
-    return path
+def test_load_config_minimal(registry):
+    ipmf = Ipmf.from_config({"name": "core-ipmf", "registry_url": "http://x"}, registry)
+    assert ipmf.name == "core-ipmf"
+    assert ipmf.policy == [] and ipmf.parent_chain == []
 
 
-def test_load_config_minimal(tmp_path):
-    path = write_config(tmp_path, {"name": "core-ipmf", "registry_url": "http://x"})
-    config = load_config(path)
-    assert config.name == "core-ipmf"
-    assert config.policy == [] and config.parent_chain == []
-
-
-def test_load_config_reports_every_problem(tmp_path, registry):
+def test_load_config_reports_every_problem(registry):
     root = make_root(registry)
     keys = generate_keypair()
     child_did = create_registry_did(keys)[0]
@@ -428,7 +421,7 @@ def test_load_config_reports_every_problem(tmp_path, registry):
         ],
     }
     with pytest.raises(ConfigError) as err:
-        load_config(write_config(tmp_path, payload))
+        Ipmf.from_config(payload, registry)
     text = str(err.value)
     assert "seed must decode to 32 bytes" in text
     assert "NoSuchKind" in text
@@ -436,7 +429,7 @@ def test_load_config_reports_every_problem(tmp_path, registry):
     assert "requires a fixed seed" in text
 
 
-def test_load_config_seed_chain_mismatch(tmp_path, registry):
+def test_load_config_seed_chain_mismatch(registry):
     root = make_root(registry)
     keys = generate_keypair()
     child_did = create_registry_did(keys)[0]
@@ -448,11 +441,11 @@ def test_load_config_seed_chain_mismatch(tmp_path, registry):
         "parent_chain": [delegation.to_dict()],
     }
     with pytest.raises(ConfigError) as err:
-        load_config(write_config(tmp_path, payload))
+        Ipmf.from_config(payload, registry)
     assert "terminates at" in str(err.value)
 
 
-def test_from_config_builds_matching_identity(tmp_path, registry):
+def test_from_config_builds_matching_identity(registry):
     import os
     root = make_root(registry)
     seed = os.urandom(32)
@@ -466,8 +459,7 @@ def test_from_config_builds_matching_identity(tmp_path, registry):
         "policy": [{"kind": KIND_AUTHN, "match": {}, "request_match": {}, "grant": {}}],
         "trusted_foreign_roots": ["did:svdr:someforeignroot"],
     }
-    config = load_config(write_config(tmp_path, payload))
-    ipmf = Ipmf.from_config(config, registry)
+    ipmf = Ipmf.from_config(payload, registry)
     assert ipmf.did == child_did
     assert ipmf.trust_root == root.did
     assert "did:svdr:someforeignroot" in ipmf.trusted_foreign_roots

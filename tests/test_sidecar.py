@@ -403,6 +403,29 @@ def test_association_store_stays_bounded_under_churn(world):
         assert AssociationStore(sidecar._store.path).load() == sidecar.associations
 
 
+def test_forget_during_a_handshake_leaves_memory_and_store_agreeing(world):
+    consumer = world.consumer
+    entered, release = threading.Event(), threading.Event()
+    append = consumer._store.append
+
+    def held_append(assoc):
+        entered.set()
+        release.wait(10)
+        append(assoc)
+
+    consumer._store.append = held_append
+    caller = threading.Thread(target=world.call, args=("GET", "/nudm-sdm/v2/data"))
+    caller.start()
+    try:
+        assert entered.wait(10)
+        consumer.forget_peer(world.producer.did)
+    finally:
+        release.set()
+        caller.join(10)
+    assert not caller.is_alive()
+    assert AssociationStore(consumer._store.path).load() == consumer.associations
+
+
 def test_producer_state_loss_triggers_one_rehandshake(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     world.producer.associations.clear()
@@ -761,8 +784,7 @@ def test_association_store_loads_records_that_carry_established(tmp_path):
                                 "created_at": 1}) + "\n")
     loaded = AssociationStore(path).load()
     assert loaded == {("did:svdr:p", "inbound"): Association(
-        peer="did:svdr:p", direction="inbound", authz_claims=[{"producer": "UDM"}],
-        created_at=1)}
+        peer="did:svdr:p", direction="inbound", authz_claims=[{"producer": "UDM"}])}
 
 
 def test_association_store_corruption_degrades_to_empty(tmp_path):
