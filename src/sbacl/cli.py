@@ -71,22 +71,24 @@ def ipmf(argv: list[str] | None = None) -> int:
     delegate.add_argument("--out")
     revoke = _command(commands, "revoke", ipmf_revoke)
     revoke.add_argument("--config", type=_existing, required=True)
-    revoke.add_argument("--registry-id", required=True,
-                        help="revocation registry id printed by `ipmf run`")
     revoke.add_argument("--credential", required=True)
     args = parser.parse_args(argv)
     return args.fn(args) or 0
 
 
-def _load_ipmf(path: str, needs_registry_to: str | None = None) -> tuple[Ipmf, dict]:
-    """The IPMF a config file describes, and the config; `needs_registry_to`
-    names what the command cannot do without `registry_url`."""
-    config = load_json(path)
+def _registry_of(config: dict, needs_registry_to: str | None = None):
+    """A client for the config's `registry_url`, or None; `needs_registry_to`
+    names what the command cannot do without one."""
     url = config.get("registry_url")
-    instance = Ipmf.from_config(config, RegistryHttpClient(url) if url else None)
     if needs_registry_to and not url:
         raise SystemExit(f"Error: config needs registry_url to {needs_registry_to}")
-    return instance, config
+    return RegistryHttpClient(url) if url else None
+
+
+def _load_ipmf(path: str, needs_registry_to: str | None = None) -> tuple[Ipmf, dict]:
+    """The IPMF a config file describes, and the config."""
+    config = load_json(path)
+    return Ipmf.from_config(config, _registry_of(config, needs_registry_to)), config
 
 
 def ipmf_run(args) -> None:
@@ -94,11 +96,10 @@ def ipmf_run(args) -> None:
     instance, config = _load_ipmf(args.config, "serve")
     instance.bootstrap(host=config.get("listen_host", "127.0.0.1"),
                        port=int(config.get("listen_port", 0)))
-    print(f"name:                {instance.name}")
-    print(f"did:                 {instance.did}")
-    print(f"endpoint:            {instance.server.endpoint}")
-    print(f"revocation registry: {instance.revocation_registry_id}")
-    print(f"trust root:          {instance.trust_root}")
+    print(f"name:       {instance.name}")
+    print(f"did:        {instance.did}")
+    print(f"endpoint:   {instance.server.endpoint}")
+    print(f"trust root: {instance.trust_root}")
     _wait_forever()
     instance.shutdown()
 
@@ -118,7 +119,6 @@ def ipmf_delegate(args) -> None:
 def ipmf_revoke(args) -> None:
     """Revoke a credential previously issued by this IPMF."""
     instance, _ = _load_ipmf(args.config, "reach the registry")
-    instance.revocation_registry_id = args.registry_id
     instance.revoke_credential(args.credential)
     print(f"revoked {args.credential}")
 
@@ -138,6 +138,7 @@ def sidecar(argv: list[str] | None = None) -> int:
 def sidecar_run(args) -> None:
     """Start a sidecar from a JSON config and serve until interrupted."""
     raw = load_json(args.config)
+    registry = _registry_of(raw, "serve")
     requests = raw.get("credential_requests", [])
     bootstrap_creds = [VerifiableCredential.from_dict(load_json(p))
                        for p in raw.get("bootstrap_credentials", [])]
@@ -147,7 +148,7 @@ def sidecar_run(args) -> None:
         if "issuer" not in request:
             raise SystemExit(f"Error: credential_requests[{index}] names no issuer")
 
-    instance = Sidecar.from_config(raw, RegistryHttpClient(raw["registry_url"]))
+    instance = Sidecar.from_config(raw, registry)
     instance.bootstrap(
         host=raw.get("listen_host", "127.0.0.1"),
         peer_port=int(raw.get("peer_port", 0)),

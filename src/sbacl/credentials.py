@@ -90,6 +90,14 @@ def fresh_challenge() -> bytes:
     return os.urandom(CHALLENGE_SIZE)
 
 
+def string_map(value) -> dict[str, str]:
+    """A copy of `value`, which must be an object of string values."""
+    if not isinstance(value, dict) or not all(
+            isinstance(item, str) for item in (*value, *value.values())):
+        raise TypeError("expected an object of string values")
+    return dict(value)
+
+
 @dataclass
 class VerifiableCredential:
     credential_id: str
@@ -127,6 +135,8 @@ class VerifiableCredential:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerifiableCredential":
+        if data["kind"] not in KINDS:
+            raise ValueError(f"unknown credential kind {data['kind']!r}")
         revocation = None
         if "revocation" in data:
             revocation = (data["revocation"]["registry_id"], data["revocation"]["credential_id"])
@@ -135,7 +145,7 @@ class VerifiableCredential:
             kind=data["kind"],
             issuer=data["issuer"],
             subject=data["subject"],
-            claims=dict(data["claims"]),
+            claims=string_map(data["claims"]),
             issued_at=int(data["issued_at"]),
             expires_at=int(data["expires_at"]) if "expires_at" in data else None,
             revocation=revocation,

@@ -28,9 +28,10 @@ from .credentials import (
     VerifiablePresentation,
     chain_rights,
     fresh_challenge,
+    string_map,
     verify_presentation,
 )
-from .encoding import JsonLines, b64u_decode, b64u_encode, sha256
+from .encoding import JsonLines, b64u_decode, b64u_encode
 from .envelope import (
     MSG_DENY,
     MSG_ISSUE,
@@ -44,7 +45,7 @@ from .crypto import ed25519_sign
 from .errors import ConfigError, IssuanceError, RegistryError, RevocationCheckError
 from .identity import KeyPair, Resolver, create_registry_did, generate_keypair, publish_document
 from .protocols import Session, SessionStore, body_field
-from .vdr import revocation_request_bytes, revoke_request_bytes
+from .vdr import revoke_request_bytes
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +113,6 @@ class Ipmf:
         self.resolver = Resolver(registry)
         self.did = create_registry_did(self.keys)[0]
         self.doc_version = 1
-        self.revocation_registry_id: str | None = None
         self.server: EnvelopeHttpServer | None = None
         self.sessions = SessionStore()
         self._log = JsonLines(issuance_log)
@@ -194,14 +194,12 @@ class Ipmf:
 
     def bootstrap(self, host: str = "127.0.0.1", port: int = 0,
                   serve: bool = True) -> None:
-        """Register the DID, create the revocation registry, start serving.
+        """Register the DID, which is also its revocation registry, and serve.
 
         Roots that only delegate can pass serve=False; they still need a
         registered DID so delegation chains can be verified against it.
         Bootstrapping is restart-safe: an already registered DID gets its
-        document republished, and the revocation registry is recovered
-        rather than recreated, so previously issued credentials keep
-        pointing at a live registry.
+        document republished.
         """
         endpoint = None
         if serve:
@@ -209,25 +207,8 @@ class Ipmf:
             endpoint = self.server.endpoint
         self.doc_version = publish_document(self.registry, self.resolver, self.keys,
                                             endpoint).version
-        if self.revocation_registry_id is None:
-            self.revocation_registry_id = self._ensure_revocation_registry()
         if self.server is not None:
             self.server.start()
-
-    def _ensure_revocation_registry(self) -> str:
-        # The nonce is a fixed function of the signing key, so a restarted
-        # IPMF arrives back at the registry id its issued credentials
-        # already reference instead of abandoning it.
-        nonce = sha256(b"sbacl/revocation-registry/" + self.keys.signing_public)[:16]
-        request = revocation_request_bytes(self.did, nonce)
-        try:
-            return self.registry.create_revocation_registry(
-                self.did, nonce, self._sign(request)
-            )
-        except RegistryError as exc:
-            if exc.code != "already_exists":
-                raise
-            return sha256(request).hex()
 
     def shutdown(self) -> None:
         if self.server is not None:
@@ -265,7 +246,7 @@ class Ipmf:
             subject=subject,
             claims=claims,
             validity=validity,
-            revocation_registry_id=self.revocation_registry_id,
+            revocation_registry_id=self.did,
             chain=self.parent_chain,
         )
         self._log_issued(vc)
@@ -280,7 +261,7 @@ class Ipmf:
             rights=rights,
             parent_chain=self.parent_chain,
             validity=validity,
-            revocation_registry_id=self.revocation_registry_id,
+            revocation_registry_id=self.did,
         )
         self._log_issued(vc)
         return vc
@@ -288,10 +269,8 @@ class Ipmf:
     def revoke_credential(self, credential_id: str) -> None:
         if credential_id not in self._issued_ids:
             raise IssuanceError("not_issuer", f"{credential_id} is not in this IPMF's log")
-        if self.revocation_registry_id is None:
-            raise IssuanceError("no_registry", "IPMF has no revocation registry yet")
-        signature = self._sign(revoke_request_bytes(self.revocation_registry_id, credential_id))
-        self.registry.revoke(self.revocation_registry_id, credential_id, signature)
+        signature = self._sign(revoke_request_bytes(self.did, credential_id))
+        self.registry.revoke(self.did, credential_id, signature)
 
     # -- the issuance protocol, issuer side -----------------------------------------
 
@@ -311,7 +290,7 @@ class Ipmf:
             # Delegation runs through the administrative path, never the
             # NF-facing protocol.
             return msg.reply(MSG_DENY, {"reason": f"cannot offer kind {kind!r}"})
-        requested = body_field(msg, "claims", _string_map)
+        requested = body_field(msg, "claims", string_map)
         if requested is None:
             return msg.reply(MSG_DENY, {"reason": "malformed_message"})
         session = Session(thread_id=msg.thread_id, peer=sender, challenge=fresh_challenge(),
@@ -356,10 +335,3 @@ class Ipmf:
         except IssuanceError as exc:
             return msg.reply(MSG_DENY, {"reason": exc.code})
         return msg.reply(MSG_ISSUE, {"credential": vc.to_dict()})
-
-
-def _string_map(value) -> dict[str, str]:
-    if not isinstance(value, dict) or not all(
-            isinstance(item, str) for item in (*value, *value.values())):
-        raise TypeError("expected an object of string values")
-    return dict(value)

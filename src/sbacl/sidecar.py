@@ -40,6 +40,7 @@ from .envelope import (
 )
 from .envelope_http import EnvelopeChannel, EnvelopeHttpServer
 from .errors import (
+    ConfigError,
     HandshakeRejectedError,
     IdentityError,
     PeerUnreachableError,
@@ -248,8 +249,12 @@ class Sidecar:
         DIDs whose chains it accepts; `seed`, 32 bytes in base64url;
         `routes`, `{"host", "target_did", "path_prefix"}` each; `local_services`,
         `{"name", "path_prefix"}` each; `association_store`, a file path; and
-        `cache_max_age`, seconds a resolved peer document is trusted.
+        `cache_max_age`, seconds a resolved peer document is trusted. The
+        first three are required; one `ConfigError` names every one missing.
         """
+        missing = [key for key in ("name", "nf_type", "local_nf_url") if key not in config]
+        if missing:
+            raise ConfigError([f"config needs {key}" for key in missing])
         return cls(
             name=config["name"],
             nf_type=config["nf_type"],

@@ -36,7 +36,7 @@ def _make_handler(registry: Registry):
             except RegistryError as exc:
                 status = _STATUS_BY_CODE.get(exc.code, 400)
                 self.send_json(status, {"error": exc.code, "message": str(exc)})
-            except (ValueError, KeyError, IdentityError) as exc:
+            except (ValueError, KeyError, TypeError, IdentityError) as exc:
                 self.send_json(400, {"error": "bad_request", "message": str(exc)})
 
         def _route(self, method: str) -> None:
@@ -54,12 +54,6 @@ def _make_handler(registry: Registry):
             elif method == "GET" and len(parts) == 2 and parts[0] == "dids":
                 history = registry.resolve_did(parts[1])
                 self.send_json(200, {"versions": [v.to_dict() for v in history]})
-            elif method == "POST" and parts == ["revocation-registries"]:
-                body = json.loads(self.read_body())
-                registry_id = registry.create_revocation_registry(
-                    body["issuer"], b64u_decode(body["nonce"]), b64u_decode(body["signature"])
-                )
-                self.send_json(201, {"registryId": registry_id})
             elif method == "POST" and len(parts) == 3 \
                     and parts[0] == "revocation-registries" and parts[2] == "revocations":
                 body = json.loads(self.read_body())
@@ -124,14 +118,6 @@ class RegistryHttpClient:
         if not isinstance(versions, list):
             raise IdentityError(f"registry answered {did} with no version list")
         return [SignedDocumentUpdate.from_dict(v) for v in versions]
-
-    def create_revocation_registry(self, issuer: str, nonce: bytes, signature: bytes) -> str:
-        body = self._request("POST", "/revocation-registries", {
-            "issuer": issuer,
-            "nonce": b64u_encode(nonce),
-            "signature": b64u_encode(signature),
-        })
-        return body["registryId"]
 
     def revoke(self, registry_id: str, credential_id: str, signature: bytes) -> None:
         self._request("POST", f"/revocation-registries/{registry_id}/revocations", {

@@ -70,7 +70,7 @@ from sbacl.identity import Resolver, generate_keypair
 from sbacl.ipmf import Ipmf
 from sbacl.mocknf import Behavior, MockNf
 from sbacl.sidecar import LocalService, RouteRule, Sidecar
-from sbacl.vdr import Registry, revocation_request_bytes, revoke_request_bytes
+from sbacl.vdr import Registry, revoke_request_bytes
 from sbacl.vdr_http import RegistryServer
 
 from conftest import build_hierarchy, registered_identity
@@ -418,11 +418,7 @@ def test_criterion_3_envelope_security_properties():
 
 def test_criterion_4_three_condition_verification(registry):
     root_keys, root_did = registered_identity(registry)
-    nonce = b"\x11" * 16
-    registry_id = registry.create_revocation_registry(
-        root_did, nonce,
-        ed25519_sign(root_keys.signing_secret,
-                     revocation_request_bytes(root_did, nonce)))
+    registry_id = root_did
     policy = TrustPolicy(trusted_roots=frozenset([root_did]))
 
     def presentation():
@@ -552,7 +548,6 @@ def test_criterion_6_revocation_end_to_end(tmp_path):
         }), encoding="utf-8")
         assert ipmf_cli([
             "revoke", "--config", str(config),
-            "--registry-id", issuer.revocation_registry_id,
             "--credential", authz.credential_id,
         ]) == 0
 

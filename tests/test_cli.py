@@ -122,7 +122,6 @@ def test_delegate_and_revoke_leave_no_file_open(registry_http, tmp_path):
     def revoke():
         credential_id = json.loads(results[0].output)["credential_id"]
         results.append(invoke(ipmf, "revoke", "--config", config,
-                              "--registry-id", root.revocation_registry_id,
                               "--credential", credential_id))
 
     assert (leaked_files(delegate, tmp_path), leaked_files(revoke, tmp_path)) == ([], [])
@@ -164,7 +163,7 @@ def test_run_reports_identity(registry_http, tmp_path, quiet_serve):
     })
     result = invoke(ipmf, "run", "--config", config)
     assert result.exit_code == 0, result.output
-    for label in ("name:", "did:", "endpoint:", "revocation registry:", "trust root:"):
+    for label in ("name:", "did:", "endpoint:", "trust root:"):
         assert label in result.output
     assert "root-1" in result.output
 
@@ -178,7 +177,7 @@ def test_revoke_flips_registry_status(registry_http, tmp_path):
     _, holder_did = registered_identity(registry)
     vc = root.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
     ids = [vc.credential_id]
-    assert client.check_status(root.revocation_registry_id, ids) == {vc.credential_id: "active"}
+    assert client.check_status(root.did, ids) == {vc.credential_id: "active"}
 
     config = write_json(tmp_path / "root.json", {
         "name": "root",
@@ -187,14 +186,12 @@ def test_revoke_flips_registry_status(registry_http, tmp_path):
         "issuance_log": str(log),
     })
     result = invoke(ipmf, "revoke", "--config", config,
-                    "--registry-id", root.revocation_registry_id,
                     "--credential", vc.credential_id)
     assert result.exit_code == 0, result.output
     assert f"revoked {vc.credential_id}" in result.output
-    assert client.check_status(root.revocation_registry_id, ids) == {vc.credential_id: "revoked"}
+    assert client.check_status(root.did, ids) == {vc.credential_id: "revoked"}
 
     stranger = invoke(ipmf, "revoke", "--config", config,
-                      "--registry-id", root.revocation_registry_id,
                       "--credential", "someone-elses-credential")
     assert stranger.exit_code != 0
     assert isinstance(stranger.exception, IssuanceError)
@@ -258,6 +255,27 @@ def test_sidecar_run_refuses_requests_without_bootstrap(registry_http, tmp_path,
     result = invoke(sidecar, "run", "--config", config)
     assert result.exit_code == 1
     assert "bootstrap_credentials" in result.output
+
+
+def test_sidecar_run_requires_registry_url(tmp_path):
+    config = write_json(tmp_path / "sidecar.json", {
+        "name": "amf-sidecar", "nf_type": "AMF", "local_nf_url": "http://127.0.0.1:9"})
+    result = invoke(sidecar, "run", "--config", config)
+    assert (result.exit_code, result.exception) == (1, None)
+    assert "Error: config needs registry_url to serve" in result.output
+
+
+def test_sidecar_run_names_every_missing_key(registry_http, tmp_path, monkeypatch):
+    _, server, _ = registry_http
+    config = write_json(tmp_path / "sidecar.json", {"registry_url": server.base_url})
+    listening = []
+    monkeypatch.setattr(Sidecar, "bootstrap", lambda self, **_: listening.append(self))
+    result = invoke(sidecar, "run", "--config", config)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ConfigError)
+    assert result.exception.problems == [
+        "config needs name", "config needs nf_type", "config needs local_nf_url"]
+    assert listening == []
 
 
 def test_sidecar_run_asks_each_request_of_its_own_issuer(registry_http, tmp_path,

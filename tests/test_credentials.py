@@ -269,13 +269,10 @@ def test_challenge_shape_enforced():
 
 def test_revoked_credential_fails(registry):
     from sbacl.crypto import ed25519_sign
-    from sbacl.vdr import revocation_request_bytes, revoke_request_bytes
+    from sbacl.vdr import revoke_request_bytes
 
     root_keys, root_did = registered_identity(registry)
-    nonce = b"c" * 16
-    signature = ed25519_sign(root_keys.signing_secret,
-                             revocation_request_bytes(root_did, nonce))
-    registry_id = registry.create_revocation_registry(root_did, nonce, signature)
+    registry_id = root_did
 
     holder_keys, holder_did = registered_identity(registry)
     vc = issue_credential(root_keys, root_did, KIND_AUTHN, holder_did,
@@ -527,17 +524,6 @@ class CountingRegistry(Registry):
         return super().check_status(registry_id, credential_ids)
 
 
-def revocable_issuer(registry, nonce=b"c" * 16):
-    """An issuer registered in `registry` with its own revocation registry:
-    (keys, did, registry id)."""
-    from sbacl.crypto import ed25519_sign
-    from sbacl.vdr import revocation_request_bytes
-
-    keys, did = registered_identity(registry)
-    signature = ed25519_sign(keys.signing_secret, revocation_request_bytes(did, nonce))
-    return keys, did, registry.create_revocation_registry(did, nonce, signature)
-
-
 def revoke(registry, issuer_keys, vc):
     from sbacl.crypto import ed25519_sign
     from sbacl.vdr import revoke_request_bytes
@@ -548,12 +534,12 @@ def revoke(registry, issuer_keys, vc):
 
 
 def authn_and_three_authz(issuer, holder_did):
-    keys, did, registry_id = issuer
+    keys, did = issuer
     return [issue_credential(keys, did, KIND_AUTHN, holder_did, {"nf_type": "AMF"},
-                             revocation_registry_id=registry_id)] + [
+                             revocation_registry_id=did)] + [
         issue_credential(keys, did, KIND_AUTHZ, holder_did,
                          {"producer": producer, "service": "*", "ops": "*"},
-                         revocation_registry_id=registry_id)
+                         revocation_registry_id=did)
         for producer in ("UDM", "AUSF", "PCF")
     ]
 
@@ -567,7 +553,7 @@ def present_to(registry, holder, creds, roots):
 
 def test_revoking_only_the_last_of_four_credentials_fails_the_presentation():
     registry = CountingRegistry()
-    issuer = revocable_issuer(registry)
+    issuer = registered_identity(registry)
     holder = registered_identity(registry)
     creds = authn_and_three_authz(issuer, holder[1])
     assert present_to(registry, holder, creds, [issuer[1]]).ok
@@ -580,27 +566,27 @@ def test_revoking_only_the_last_of_four_credentials_fails_the_presentation():
 def test_status_is_read_once_per_registry_per_presentation():
     registry = CountingRegistry()
     holder = registered_identity(registry)
-    first = revocable_issuer(registry)
+    first = registered_identity(registry)
     creds = authn_and_three_authz(first, holder[1])
 
     assert present_to(registry, holder, creds, [first[1]]).ok
-    assert registry.status_reads == [(first[2], [vc.credential_id for vc in creds])]
+    assert registry.status_reads == [(first[1], [vc.credential_id for vc in creds])]
     registry.status_reads.clear()
     assert present_to(registry, holder, creds, [first[1]]).ok
     assert len(registry.status_reads) == 1  # read fresh on every presentation
 
-    second = revocable_issuer(registry, nonce=b"d" * 16)
+    second = registered_identity(registry)
     more = creds + authn_and_three_authz(second, holder[1])[1:]
     registry.status_reads.clear()
     assert present_to(registry, holder, more, [first[1], second[1]]).ok
-    assert sorted(reg for reg, _ in registry.status_reads) == sorted([first[2], second[2]])
+    assert sorted(reg for reg, _ in registry.status_reads) == sorted([first[1], second[1]])
 
 
 def test_unknown_revocation_registry_still_raises():
     from sbacl.errors import RegistryError
 
     registry = Registry()
-    keys, did, _ = revocable_issuer(registry)
+    keys, did = registered_identity(registry)
     holder = registered_identity(registry)
     vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
                           revocation_registry_id="f" * 64)
@@ -632,9 +618,9 @@ def test_a_status_answer_missing_an_id_is_not_a_verdict():
             return {}
 
     registry = Forgetful()
-    keys, did, registry_id = revocable_issuer(registry)
+    keys, did = registered_identity(registry)
     holder = registered_identity(registry)
     vc = issue_credential(keys, did, KIND_AUTHN, holder[1], {"nf_type": "AMF"},
-                          revocation_registry_id=registry_id)
+                          revocation_registry_id=did)
     with pytest.raises(RevocationCheckError):
         present_to(registry, holder, [vc], [did])

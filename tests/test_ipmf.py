@@ -22,7 +22,7 @@ from sbacl.envelope import (
     MSG_PRESENTATION,
     ProtocolMessage,
 )
-from sbacl.errors import ConfigError, IssuanceError, PolicyDeniedError
+from sbacl.errors import ConfigError, IssuanceError, PolicyDeniedError, RegistryError
 from sbacl.errors import IdentificationRejectedError
 from sbacl.identity import Resolver, create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule
@@ -144,10 +144,10 @@ def test_revocation_requires_own_log(domain):
     _, holder_did, bootstrap = enrolled_holder(child)
 
     ids = [bootstrap.credential_id]
-    assert registry.check_status(child.revocation_registry_id, ids) == {
+    assert registry.check_status(child.did, ids) == {
         bootstrap.credential_id: "active"}
     child.revoke_credential(bootstrap.credential_id)
-    assert registry.check_status(child.revocation_registry_id, ids) == {
+    assert registry.check_status(child.did, ids) == {
         bootstrap.credential_id: "revoked"}
 
     with pytest.raises(IssuanceError) as err:
@@ -167,7 +167,6 @@ def test_issuance_log_survives_restart(registry, tmp_path):
     first.bootstrap(serve=False)
     _, holder_did = registered_identity(registry)
     vc = first.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
-    revreg = first.revocation_registry_id
     first.shutdown()
 
     lines = [json.loads(line) for line in log_path.read_text().splitlines()]
@@ -175,9 +174,8 @@ def test_issuance_log_survives_restart(registry, tmp_path):
 
     second = Ipmf("child", registry, keys=keys, parent_chain=[delegation],
                   issuance_log=log_path)
-    second.revocation_registry_id = revreg
     second.revoke_credential(vc.credential_id)
-    assert registry.check_status(revreg, [vc.credential_id]) == {vc.credential_id: "revoked"}
+    assert registry.check_status(child_did, [vc.credential_id]) == {vc.credential_id: "revoked"}
     second.shutdown()
 
 
@@ -187,12 +185,12 @@ def test_revocation_without_registry(registry):
     child_did = create_registry_did(keys)[0]
     delegation = root.delegate_to_child(child_did, ["issue_authn"])
     child = Ipmf("child", registry, keys=keys, parent_chain=[delegation])
-    # not bootstrapped: no revocation registry yet
+    # not bootstrapped: its DID, and so its revocation registry, is unregistered
     _, holder_did = registered_identity(registry)
     vc = child.issue_credential_to(holder_did, KIND_AUTHN, {"nf_type": "AMF"})
-    with pytest.raises(IssuanceError) as err:
+    with pytest.raises(RegistryError) as err:
         child.revoke_credential(vc.credential_id)
-    assert err.value.code == "no_registry"
+    assert err.value.code == "unknown_registry"
 
 
 # --- the issuance protocol against the real issuer ---------------------------------
@@ -208,7 +206,7 @@ def test_protocol_issuance_happy_path(domain):
     assert vc.subject == holder_did
     assert vc.claims == {"nf_type": "AMF", "domain": "core"}
     assert vc.delegation_chain[0].issuer == root.did
-    assert vc.revocation == (child.revocation_registry_id, vc.credential_id)
+    assert vc.revocation == (child.did, vc.credential_id)
     assert len(child.sessions) == 0
     # two exchanges: the issuer's challenge answers the offer
     assert [m.type for m in channel.sent] == [MSG_OFFER, MSG_PRESENTATION]

@@ -5,22 +5,35 @@ import socket
 import sys
 import threading
 import time
+import uuid
 from dataclasses import replace
 
 import pytest
 import requests
 
-from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, fresh_challenge, issue_credential
-from sbacl.encoding import b64u_encode
+from sbacl.credentials import (
+    KIND_AUTHN,
+    KIND_AUTHZ,
+    KIND_DEL,
+    VerifiableCredential,
+    build_presentation,
+    fresh_challenge,
+    issue_credential,
+)
+from sbacl.crypto import ed25519_sign
+from sbacl.encoding import b64u_decode, b64u_encode
 from sbacl.envelope import (
     MAX_FRAME,
+    MSG_DENY,
     MSG_PRESENT_REQUEST,
+    MSG_PRESENTATION,
     MSG_TUNNEL_REQUEST,
     MSG_TUNNEL_RESPONSE,
     ProtocolMessage,
     encode_wire,
     pack,
 )
+from sbacl.envelope_http import EnvelopeChannel
 from sbacl.httputil import HttpService, QuietHandler
 from sbacl.identity import (
     SignedDocumentUpdate,
@@ -603,6 +616,38 @@ def test_unknown_revocation_registry_of_the_consumer_is_denied(world, caplog):
     assert "revocation_unchecked" in _refused_as(resp, 502, "handshake_rejected")
     assert world.producer_nf.request_count() == 0
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def _self_signed(keys, did, kind, claims, chain=()):
+    vc = VerifiableCredential(str(uuid.uuid4()), kind, did, did, claims, int(time.time()),
+                              delegation_chain=list(chain))
+    vc.proof = ed25519_sign(keys.signing_secret, vc.signing_bytes())
+    return vc
+
+
+@pytest.mark.parametrize("case", ["non-string-rights", "unknown-kind"])
+def test_malformed_presented_credential_is_denied_without_a_traceback(world, case, caplog):
+    stranger = Sidecar("stranger", "AMF", world.registry, world.consumer_nf.base_url,
+                       trusted_roots=[world.root.did])
+    stranger.bootstrap()
+    world.started.append(stranger.shutdown)
+    keys, did = stranger.keys, stranger.did
+    if case == "non-string-rights":
+        link = _self_signed(keys, did, KIND_DEL, {"rights": 5})
+        vc = _self_signed(keys, did, KIND_AUTHN, {"nf_type": "AMF"}, [link])
+    else:
+        link = _self_signed(keys, did, KIND_DEL, {"rights": "issue_authn"})
+        vc = _self_signed(keys, did, "Foo", {"nf_type": "AMF"}, [link])
+    channel = EnvelopeChannel(stranger, world.producer.did)
+    with caplog.at_level(logging.INFO):
+        reply = channel.request(ProtocolMessage(
+            MSG_PRESENT_REQUEST, {"challenge": b64u_encode(fresh_challenge())}))
+        assert reply.type == MSG_PRESENTATION
+        vp = build_presentation(keys, did, [vc], b64u_decode(reply.body["challenge"]))
+        denied = channel.request(reply.reply(MSG_PRESENTATION, {"presentation": vp.to_dict()}))
+    assert (denied.type, denied.body) == (MSG_DENY, {"reason": "malformed_message"})
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert world.producer_nf.request_count() == 0
 
 
 def test_envelope_from_a_speer_did_is_an_unknown_sender(world):

@@ -11,7 +11,7 @@ from sbacl.identity import (
     rotate_document,
     self_sign_document,
 )
-from sbacl.vdr import Registry, revocation_request_bytes, revoke_request_bytes
+from sbacl.vdr import Registry, revoke_request_bytes
 
 from conftest import leaked_files, registered_identity, speer_shaped_did
 
@@ -114,17 +114,11 @@ def test_unknown_did_everywhere(registry):
         registry.update(update)
 
 
-# -- revocation registries -----------------------------------------------------------
-
-
-def make_revreg(registry, keys, issuer_did, nonce=b"n" * 16):
-    signature = ed25519_sign(keys.signing_secret, revocation_request_bytes(issuer_did, nonce))
-    return registry.create_revocation_registry(issuer_did, nonce, signature)
+# -- revocation registries: one per registered DID ------------------------------------
 
 
 def test_revocation_lifecycle(registry):
-    keys, issuer = registered_identity(registry)
-    registry_id = make_revreg(registry, keys, issuer)
+    keys, registry_id = registered_identity(registry)
     assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
 
     signature = ed25519_sign(keys.signing_secret, revoke_request_bytes(registry_id, "cred-1"))
@@ -137,19 +131,8 @@ def test_revocation_lifecycle(registry):
     assert registry.check_status(registry_id, []) == {}
 
 
-def test_revocation_registry_creation_replay(registry):
-    keys, issuer = registered_identity(registry)
-    make_revreg(registry, keys, issuer)
-    with pytest.raises(RegistryError) as err:
-        make_revreg(registry, keys, issuer)
-    assert err.value.code == "already_exists"
-    # a different nonce is a different registry
-    assert make_revreg(registry, keys, issuer, nonce=b"m" * 16)
-
-
 def test_revoke_requires_issuer_signature(registry):
-    keys, issuer = registered_identity(registry)
-    registry_id = make_revreg(registry, keys, issuer)
+    keys, registry_id = registered_identity(registry)
     intruder = generate_keypair()
     signature = ed25519_sign(intruder.signing_secret,
                              revoke_request_bytes(registry_id, "cred-1"))
@@ -159,12 +142,17 @@ def test_revoke_requires_issuer_signature(registry):
     assert registry.check_status(registry_id, ["cred-1"]) == {"cred-1": "active"}
 
 
-def test_only_a_registered_issuer_creates_a_revocation_registry(registry):
+def test_only_a_registered_did_has_a_revocation_registry(registry):
     keys = generate_keypair()
     # unregistered, and of the removed self-contained method
     for issuer in (create_registry_did(keys)[0], speer_shaped_did(keys)):
-        with pytest.raises(UnknownDidError):
-            make_revreg(registry, keys, issuer)
+        with pytest.raises(RegistryError) as err:
+            registry.check_status(issuer, ["cred-1"])
+        assert err.value.code == "unknown_registry"
+        with pytest.raises(RegistryError) as err:
+            registry.revoke(issuer, "cred-1", ed25519_sign(
+                keys.signing_secret, revoke_request_bytes(issuer, "cred-1")))
+        assert err.value.code == "unknown_registry"
 
 
 def test_unknown_revocation_registry(registry):
@@ -183,7 +171,7 @@ def test_log_replay_restores_state(tmp_path):
     new_keys = generate_keypair()
     registry.update(rotate_document(doc, new_keys, keys.signing_secret))
     # the issuer signs with the key its latest version names
-    registry_id = make_revreg(registry, new_keys, doc.did)
+    registry_id = doc.did
     registry.revoke(registry_id, "cred-9",
                     ed25519_sign(new_keys.signing_secret,
                                  revoke_request_bytes(registry_id, "cred-9")))
@@ -202,18 +190,17 @@ def test_reopening_a_registry_appends_nothing_to_its_log(tmp_path):
     keys, doc = register_identity(registry)
     new_keys = generate_keypair()
     registry.update(rotate_document(doc, new_keys, keys.signing_secret))
-    registry_id = make_revreg(registry, new_keys, doc.did)
-    registry.revoke(registry_id, "cred-1",
+    registry.revoke(doc.did, "cred-1",
                     ed25519_sign(new_keys.signing_secret,
-                                 revoke_request_bytes(registry_id, "cred-1")))
+                                 revoke_request_bytes(doc.did, "cred-1")))
     written = log.read_text()
-    assert len(written.splitlines()) == 4
+    assert len(written.splitlines()) == 3
 
     reopened = Registry(log_path=log)
     assert log.read_text() == written
     # the reopened registry still appends what happens after replay
     register_identity(reopened)
-    assert len(log.read_text().splitlines()) == 5
+    assert len(log.read_text().splitlines()) == 4
 
 
 def test_log_replay_rejects_tampered_event(tmp_path):
@@ -240,6 +227,16 @@ def test_dropped_registry_leaves_no_file_open(tmp_path):
 def test_log_replay_rejects_garbage_line(tmp_path):
     log = tmp_path / "registry.jsonl"
     log.write_text("not json at all\n")
+    with pytest.raises(RegistryError) as err:
+        Registry(log_path=log)
+    assert err.value.code == "corrupt_log"
+
+
+def test_log_naming_a_created_revocation_registry_is_refused(tmp_path):
+    # Revocation registries are registered DIDs; there is no creation event.
+    log = tmp_path / "registry.jsonl"
+    log.write_text(json.dumps({"event": "create_revreg", "issuer": "did:svdr:x",
+                               "nonce": "AA", "signature": "AA"}) + "\n")
     with pytest.raises(RegistryError) as err:
         Registry(log_path=log)
     assert err.value.code == "corrupt_log"
@@ -294,12 +291,7 @@ def test_http_client_mirrors_registry(registry_http):
     with pytest.raises(UnknownDidError):
         client.resolve_did(create_registry_did(generate_keypair())[0])
 
-    issuer_keys, issuer_did = registered_identity(registry)
-    nonce = b"q" * 16
-    registry_id = client.create_revocation_registry(
-        issuer_did, nonce,
-        ed25519_sign(issuer_keys.signing_secret, revocation_request_bytes(issuer_did, nonce)),
-    )
+    issuer_keys, registry_id = registered_identity(registry)
     assert client.check_status(registry_id, ["c1"]) == {"c1": "active"}
     client.revoke(registry_id, "c1",
                   ed25519_sign(issuer_keys.signing_secret,
@@ -358,8 +350,7 @@ def test_http_put_path_must_match_body(registry_http):
 
 def test_http_status_read_takes_a_list_of_ids(registry_http):
     registry, _, client = registry_http
-    issuer_keys, issuer_did = registered_identity(registry)
-    registry_id = make_revreg(client, issuer_keys, issuer_did)
+    _, registry_id = registered_identity(registry)
 
     import requests
     for ids in ("c1", [1, 2], None):
@@ -370,3 +361,15 @@ def test_http_status_read_takes_a_list_of_ids(registry_http):
     with pytest.raises(RegistryError) as err:
         client.check_status("f" * 64, ["c1"])
     assert err.value.code == "unknown_registry"
+
+
+def test_http_wrongly_typed_body_is_a_bad_request(registry_http):
+    registry, _, client = registry_http
+    _, registry_id = registered_identity(registry)
+
+    import requests
+    base = f"{client.base_url}/revocation-registries/{registry_id}"
+    for path, body in (("status", []), ("revocations", {"credentialId": "c1", "signature": 5})):
+        resp = requests.post(f"{base}/{path}", json=body, timeout=5)
+        assert (resp.status_code, resp.json()["error"]) == (400, "bad_request")
+    assert client.check_status(registry_id, ["c1"]) == {"c1": "active"}
