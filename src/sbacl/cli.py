@@ -1,5 +1,5 @@
 """Command line entry points `ipmf`, `sidecar` and `harness`: each parses an
-argv list and returns 0, 1 (the config cannot serve, a run fails) or 2 (usage).
+argv list and returns 0, 1 (an `Error:` line, a failed run) or 2 (usage).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import signal
 from pathlib import Path
 
 from .credentials import VerifiableCredential
+from .errors import SbaclError
 from .harness import (
     benchmark,
     bundled,
@@ -27,13 +28,8 @@ from .vdr_http import RegistryHttpClient
 def _wait_forever() -> None:
     try:
         signal.pause()
-    except (KeyboardInterrupt, AttributeError):
-        # signal.pause is unavailable on some platforms; fall back to input().
-        try:
-            while True:
-                input()
-        except (KeyboardInterrupt, EOFError):
-            pass
+    except KeyboardInterrupt:
+        pass
 
 
 def _existing(path: str) -> str:
@@ -45,6 +41,16 @@ def _existing(path: str) -> str:
 def _group(prog: str, doc: str):
     parser = argparse.ArgumentParser(prog=prog, description=doc)
     return parser, parser.add_subparsers(dest="command", required=True)
+
+
+def _main(parser: argparse.ArgumentParser, argv: list[str] | None) -> int:
+    """Run the subcommand `argv` names; a refusal from the package exits 1
+    with an `Error:` line instead of a traceback."""
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args) or 0
+    except SbaclError as exc:
+        raise SystemExit(f"Error: {exc}") from exc
 
 
 def _command(subparsers, name: str, fn) -> argparse.ArgumentParser:
@@ -72,8 +78,7 @@ def ipmf(argv: list[str] | None = None) -> int:
     revoke = _command(commands, "revoke", ipmf_revoke)
     revoke.add_argument("--config", type=_existing, required=True)
     revoke.add_argument("--credential", required=True)
-    args = parser.parse_args(argv)
-    return args.fn(args) or 0
+    return _main(parser, argv)
 
 
 def _registry_of(config: dict, needs_registry_to: str | None = None):
@@ -131,8 +136,7 @@ def sidecar(argv: list[str] | None = None) -> int:
     parser, commands = _group("sidecar", sidecar.__doc__)
     _command(commands, "run", sidecar_run).add_argument(
         "--config", type=_existing, required=True)
-    args = parser.parse_args(argv)
-    return args.fn(args) or 0
+    return _main(parser, argv)
 
 
 def sidecar_run(args) -> None:
@@ -192,8 +196,7 @@ def harness(argv: list[str] | None = None) -> int:
     bench.add_argument("--script", type=_existing)
     bench.add_argument("--iterations", type=int, default=30, help="default: %(default)s")
     bench.add_argument("--out")
-    args = parser.parse_args(argv)
-    return args.fn(args) or 0
+    return _main(parser, argv)
 
 
 def harness_up(args) -> None:

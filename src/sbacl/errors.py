@@ -29,14 +29,6 @@ class RegistryUnavailableError(SbaclError):
     """The registry could not be reached. Infrastructure fault, never a verdict."""
 
 
-class UnknownDidError(RegistryError):
-    """Resolution failed because the registry holds no record for the DID."""
-
-    def __init__(self, did: str):
-        self.did = did
-        super().__init__("unknown_did", f"no record for {did}")
-
-
 class IssuanceError(SbaclError):
     """Credential issuance refused (rights escalation, chain mismatch, policy)."""
 

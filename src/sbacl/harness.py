@@ -31,7 +31,7 @@ from .identity import create_registry_did, generate_keypair
 from .ipmf import Ipmf
 from .mocknf import Behavior, MockNf
 from .protocols import run_issuance
-from .sidecar import RouteRule, Sidecar
+from .sidecar import Sidecar
 from .vdr import Registry
 from .vdr_http import RegistryHttpClient, RegistryServer
 
@@ -221,7 +221,9 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
 
         # Each NF's mock and sidecar, provisioned with a bootstrap credential
         # from its IPMF, then operational credentials through the issuance
-        # protocol proper. Routes are wired once every sidecar has a DID.
+        # protocol proper. Seeds come first, so every route names its DID.
+        seeds = {nf["name"]: os.urandom(32) for nf in config.get("nfs", [])}
+        dids = {name: create_registry_did(generate_keypair(seed))[0] for name, seed in seeds.items()}
         nfs: dict[str, NfHandle] = {}
         for nf in config.get("nfs", []):
             mock = MockNf(nf["name"], nf["nf_type"],
@@ -233,6 +235,10 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
                 "nf_type": nf["nf_type"],
                 "local_nf_url": mock.base_url,
                 "trusted_roots": [root_of_domain[d].did for d in trusting],
+                "seed": b64u_encode(seeds[nf["name"]]),
+                "routes": [{"host": route["host"], "target_did": dids[route["target"]],
+                            "path_prefix": route.get("path_prefix", "/")}
+                           for route in nf.get("routes", [])],
                 "local_services": nf.get("services", []),
                 "association_store": (state_dir / f"{nf['name']}-assoc.jsonl") if state_dir else None,
             }, client)
@@ -250,12 +256,6 @@ def launch_topology(config: dict, state_dir: str | Path | None = None) -> Topolo
                 name=nf["name"], nf_type=nf["nf_type"], domain=nf["domain"], mock=mock,
                 sidecar=sidecar, operational_creds=provision(sidecar, [bootstrap], requests),
             )
-
-        for nf in config.get("nfs", []):
-            nfs[nf["name"]].sidecar.routes = [
-                RouteRule(route["host"], nfs[route["target"]].sidecar.did,
-                          route.get("path_prefix", "/"))
-                for route in nf.get("routes", [])]
 
         topology = Topology(
             registry=registry, registry_server=registry_server, client=client,

@@ -263,87 +263,72 @@ def verify_document_chain(history: list[SignedDocumentUpdate],
     return latest
 
 
-class ResolutionCache:
-    """Time-bounded DID document cache, safe for concurrent readers."""
-
-    def __init__(self, max_age: float = DEFAULT_CACHE_MAX_AGE):
-        self.max_age = max_age
-        self._entries: dict[str, tuple[DidDocument, float | None]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, did: str, now: float | None = None) -> DidDocument | None:
-        """The cached document, or None when absent, expired or older than `max_age`."""
-        now = time.time() if now is None else now
-        with self._lock:
-            doc, stamp = self._entries.get(did, (None, None))
-        return doc if stamp is not None and now - stamp <= self.max_age else None
-
-    def last(self, did: str) -> DidDocument | None:
-        """The cached document however old, even expired, or None when absent."""
-        with self._lock:
-            return self._entries.get(did, (None, None))[0]
-
-    def put(self, doc: DidDocument, now: float | None = None) -> None:
-        """Keep `doc` unless a later version is held; refreshes can finish out of order."""
-        now = time.time() if now is None else now
-        with self._lock:
-            held = self._entries.get(doc.did)
-            if held is None or held[0].version <= doc.version:
-                self._entries[doc.did] = (doc, now)
-
-    def expire(self, did: str) -> None:
-        """Make `get` miss until the next `put`, keeping the copy for `last`."""
-        with self._lock:
-            if did in self._entries:
-                self._entries[did] = (self._entries[did][0], None)
+_NO_RECORD = (None, None, 0.0)
 
 
 class Resolver:
     """The one place DID documents and revocation status are read from.
 
-    A DID is served from the cache while younger than `max_age`, otherwise
-    its history is
-    fetched from `registry_client`, which also answers revocation status
-    checks, and must extend the cached copy under `verify_document_chain`,
+    Each DID has one record: its latest verified document, the time it was
+    verified (None once expired), and the monotonic end of its outage
+    hold-off. A document younger than `max_age` is served as it is;
+    otherwise the history from `registry_client`, which also answers
+    revocation status checks, must extend it under `verify_document_chain`,
     or it is refused as `unknown_did`. When the registry cannot be reached,
-    a cached copy of any age is kept, and `resolve` serves it without
-    asking again until the `OUTAGE_BACKOFF` hold-off has passed."""
+    the held copy is kept and served until the `OUTAGE_BACKOFF` hold-off
+    has passed."""
 
     def __init__(self, registry_client=None, max_age: float = DEFAULT_CACHE_MAX_AGE):
         self.registry_client = registry_client
-        self.cache = ResolutionCache(max_age)
-        self._retry_at: dict[str, float] = {}  # DID -> monotonic end of its hold-off
+        self.max_age = max_age
+        # Records are tuples swapped whole under the lock, so reads take none.
+        self._records: dict[str, tuple[DidDocument, float | None, float]] = {}
+        self._lock = threading.Lock()
 
     def resolve(self, did: str) -> DidDocument:
-        """The DID's current document, from the cache when fresh enough."""
-        doc = self.cache.get(did)
-        if doc is None and time.monotonic() < self._retry_at.get(did, 0.0):
-            doc = self.cache.last(did)
-        return doc if doc is not None else self.refresh(did)
+        """The DID's current document, from its record when fresh enough."""
+        doc, verified_at, retry_at = self._records.get(did, _NO_RECORD)
+        if (verified_at is not None and time.time() - verified_at <= self.max_age
+                or time.monotonic() < retry_at):
+            return doc
+        return self.refresh(did)
 
     def refresh(self, did: str) -> DidDocument:
         """Fetch and check the DID's current document, regardless of the
-        cached copy's age. A registry outage keeps any cached copy."""
+        held copy's age. A registry outage keeps any held copy."""
         parse_did(did)
         if self.registry_client is None:
             raise IdentityError(f"DID {did} needs a registry client to resolve")
         started = time.monotonic()
-        cached = self.cache.last(did)
+        held = self._records.get(did, _NO_RECORD)[0]
         try:
             history = self.registry_client.resolve_did(did)
         except RegistryUnavailableError as exc:
-            if cached is None:
+            if held is None:
                 raise
             failed = time.monotonic()
-            self._retry_at[did] = failed + OUTAGE_BACKOFF * (failed - started)
+            with self._lock:
+                doc, verified_at, _ = self._records[did]
+                self._records[did] = (doc, verified_at, failed + OUTAGE_BACKOFF * (failed - started))
             log.warning("keeping stale document for %s: %s", did, exc)
-            return cached
+            return doc
         try:
-            doc = verify_document_chain(history, cached)
+            doc = verify_document_chain(history, held)
             if doc.did != did:
                 raise RegistryError("bad_request", f"the history is of {doc.did}")
         except RegistryError as exc:
             raise RegistryError("unknown_did", f"{did} history refused: {exc.code}: {exc}") from exc
-        self._retry_at.pop(did, None)
-        self.cache.put(doc)
-        return doc
+        with self._lock:
+            latest, verified_at, _ = self._records.get(did, _NO_RECORD)
+            if latest is None or latest.version <= doc.version:  # refreshes can finish out of order
+                latest, verified_at = doc, time.time()
+            self._records[did] = (latest, verified_at, 0.0)
+        return latest
+
+    def expire(self, did: str) -> None:
+        """Make the next `resolve` read the registry. The document stays, so
+        that read's history must extend it."""
+        with self._lock:
+            if did in self._records:
+                doc, _, retry_at = self._records[did]
+                self._records[did] = (doc, None, retry_at)

@@ -6,9 +6,9 @@ a delegation chain from their root and run the operational issuance
 protocol towards NFs. Policy is a first-match rule list evaluated against
 the requester's verified bootstrap claims and the requested grant.
 
-Everything an IPMF issues is recorded in an append-only issuance log, which
-is also what gives it revocation authority: you can only revoke what your
-own log says you issued.
+Everything an IPMF issues is recorded in an append-only issuance log.
+Revocation authority is the IPMF's DID key, which signs each revocation;
+the log only keeps an IPMF from revoking ids it never issued.
 """
 
 from __future__ import annotations
@@ -116,7 +116,13 @@ class Ipmf:
         self.server: EnvelopeHttpServer | None = None
         self.sessions = SessionStore()
         self._log = JsonLines(issuance_log)
-        self._issued_ids = {json.loads(line)["credential_id"] for _, line in self._log.lines()}
+        self._issued_ids = set()
+        for line_no, line in self._log.lines():
+            try:
+                self._issued_ids.add(json.loads(line)["credential_id"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IssuanceError("corrupt_log", f"issuance log {self._log.path} line {line_no} "
+                                                   "is not a record with a credential_id") from exc
 
     # -- identity and rights -------------------------------------------------
 

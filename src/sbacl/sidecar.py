@@ -367,7 +367,7 @@ class Sidecar:
         The peer's document expires but is kept, so the next history read
         must still extend it."""
         self._store.drop(peer, "outbound")
-        self.resolver.cache.expire(peer)
+        self.resolver.expire(peer)
 
     def intercept(self, method: str, path: str, headers: list[tuple[str, str]],
                   body: bytes, host: str) -> tuple[int, list[tuple[str, str]], bytes]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import crypto
 from .encoding import JsonLines, b64u_decode, b64u_encode, canonical_json
-from .errors import RegistryError, UnknownDidError
+from .errors import RegistryError
 from .identity import SignedDocumentUpdate, check_successor
 
 
@@ -93,7 +93,7 @@ class Registry:
     def _history(self, did: str) -> list[SignedDocumentUpdate]:
         versions = self._records.get(did)
         if versions is None:
-            raise UnknownDidError(did)
+            raise RegistryError("unknown_did", f"no record for {did}")
         return versions
 
     # -- revocation: each registered DID is the registry of what it issued ------

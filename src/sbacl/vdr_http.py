@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .encoding import b64u_decode, b64u_encode
-from .errors import IdentityError, RegistryError, RegistryUnavailableError, UnknownDidError
+from .errors import IdentityError, RegistryError, RegistryUnavailableError
 from .identity import SignedDocumentUpdate
 from .httputil import HTTP_ERRORS, HttpClient, HttpService, QuietHandler
 from .vdr import Registry
@@ -110,10 +110,7 @@ class RegistryHttpClient:
         self._request("PUT", f"/dids/{update.document.did}", update.to_dict())
 
     def resolve_did(self, did: str) -> list[SignedDocumentUpdate]:
-        try:
-            body = self._request("GET", f"/dids/{did}")
-        except RegistryError as exc:
-            raise UnknownDidError(did) if exc.code == "unknown_did" else exc
+        body = self._request("GET", f"/dids/{did}")
         versions = body.get("versions") if isinstance(body, dict) else None
         if not isinstance(versions, list):
             raise IdentityError(f"registry answered {did} with no version list")

@@ -1,19 +1,25 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import sbacl
 from sbacl.cli import harness, ipmf, sidecar
 from sbacl.credentials import KIND_AUTHN, KIND_AUTHZ, KIND_DEL, VerifiableCredential
 from sbacl.encoding import b64u_encode
-from sbacl.errors import ConfigError, IssuanceError
 from sbacl.identity import create_registry_did, generate_keypair
 from sbacl.ipmf import Ipmf, PolicyRule
 from sbacl.mocknf import MockNf
 from sbacl.sidecar import Sidecar
+from sbacl.vdr_http import RegistryServer
 
 from conftest import MINI_SCRIPT, MINI_TOPOLOGY, leaked_files, registered_identity
 
@@ -137,9 +143,9 @@ def test_bad_config_is_rejected_with_all_problems(tmp_path):
     })
     result = invoke(ipmf, "delegate", "--config", config,
                     "--child", "did:svdr:x", "--rights", "delegate")
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ConfigError)
-    assert len(result.exception.problems) == 2
+    assert (result.exit_code, result.exception) == (1, None)
+    assert ("Error: seed must decode to 32 bytes; policy[0]: unknown kind 'NotAKind'"
+            in result.output)
 
 
 def test_run_requires_registry_url(tmp_path):
@@ -193,9 +199,46 @@ def test_revoke_flips_registry_status(registry_http, tmp_path):
 
     stranger = invoke(ipmf, "revoke", "--config", config,
                       "--credential", "someone-elses-credential")
-    assert stranger.exit_code != 0
-    assert isinstance(stranger.exception, IssuanceError)
+    assert (stranger.exit_code, stranger.exception) == (1, None)
+    assert "Error: someone-elses-credential is not in this IPMF's log" in stranger.output
     root.shutdown()
+
+
+def test_revoke_answers_a_registry_refusal_with_an_error_line(registry_http, tmp_path):
+    _, server, _ = registry_http
+    log = tmp_path / "issued.jsonl"
+    log.write_text('{"credential_id": "c1"}\n', encoding="utf-8")
+    config = {"name": "root", "seed": b64u_encode(SEED), "issuance_log": str(log)}
+    # the IPMF's DID was never registered, so it has no revocation registry
+    unregistered = invoke(ipmf, "revoke", "--credential", "c1", "--config",
+                          write_json(tmp_path / "a.json", {**config, "registry_url": server.base_url}))
+    assert (unregistered.exit_code, unregistered.exception) == (1, None)
+    assert "Error: did:svdr:" in unregistered.output
+    assert "is not a registered DID" in unregistered.output
+
+    gone = RegistryServer()
+    gone.start()
+    gone.stop()
+    unreachable = invoke(ipmf, "revoke", "--credential", "c1", "--config",
+                         write_json(tmp_path / "b.json", {**config, "registry_url": gone.base_url}))
+    assert (unreachable.exit_code, unreachable.exception) == (1, None)
+    assert f"Error: registry at {gone.base_url}" in unreachable.output
+
+
+@pytest.mark.parametrize("bad_line", ["not json", '{"kind": "AuthN"}'], ids=["not_json", "no_id"])
+def test_run_refuses_a_corrupt_issuance_log(registry_http, tmp_path, quiet_serve, bad_line):
+    _, server, _ = registry_http
+    log = tmp_path / "issued.jsonl"
+    log.write_text('{"credential_id": "c1"}\n' + bad_line + "\n", encoding="utf-8")
+    config = write_json(tmp_path / "root.json", {
+        "name": "root",
+        "seed": b64u_encode(SEED),
+        "registry_url": server.base_url,
+        "issuance_log": str(log),
+    })
+    result = invoke(ipmf, "run", "--config", config)
+    assert (result.exit_code, result.exception) == (1, None)
+    assert f"Error: issuance log {log} line 2 is not a record with a credential_id" in result.output
 
 
 # --- sidecar --------------------------------------------------------------------
@@ -271,11 +314,9 @@ def test_sidecar_run_names_every_missing_key(registry_http, tmp_path, monkeypatc
     listening = []
     monkeypatch.setattr(Sidecar, "bootstrap", lambda self, **_: listening.append(self))
     result = invoke(sidecar, "run", "--config", config)
-    assert result.exit_code == 1
-    assert isinstance(result.exception, ConfigError)
-    assert result.exception.problems == [
-        "config needs name", "config needs nf_type", "config needs local_nf_url"]
-    assert listening == []
+    assert (result.exit_code, result.exception, listening) == (1, None, [])
+    assert ("Error: config needs name; config needs nf_type; config needs local_nf_url"
+            in result.output)
 
 
 def test_sidecar_run_asks_each_request_of_its_own_issuer(registry_http, tmp_path,
@@ -354,6 +395,24 @@ def test_sidecar_run_refuses_a_request_without_issuer(registry_http, tmp_path,
     assert (result.exit_code, result.exception, listening) == (1, None, [])
     assert "credential_requests[1] names no issuer" in result.output
     issuer.shutdown()
+
+
+def test_one_interrupt_stops_a_daemon():
+    env = dict(os.environ, PYTHONPATH=str(Path(sbacl.__file__).parents[1]))
+    code = "from sbacl.cli import _wait_forever; print('waiting', flush=True); _wait_forever()"
+    # stdin stays an open pipe, so nothing but the signal can end the wait
+    daemon = subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        assert daemon.stdout.readline() == b"waiting\n"
+        time.sleep(0.3)  # let it reach signal.pause()
+        daemon.send_signal(signal.SIGINT)
+        assert daemon.wait(timeout=5) == 0
+    finally:
+        daemon.kill()
+        daemon.wait()
+        daemon.stdin.close()
+        daemon.stdout.close()
 
 
 # --- harness --------------------------------------------------------------------

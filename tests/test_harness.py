@@ -286,7 +286,7 @@ def test_registry_outage_runs_on_cached_documents():
         seen = udm.request_count()
         topology.registry_server.stop()
         for handle in topology.nfs.values():
-            handle.sidecar.resolver.cache.max_age = 0.0  # every document is due for refresh
+            handle.sidecar.resolver.max_age = 0.0  # every document is due for refresh
         transcript = run_scenario(topology, MINI_SCRIPT, "tunneled", halt_on_failure=False)
         assert [r.status for r in transcript.results] == \
             [step["expected_status"] for step in MINI_SCRIPT["steps"]]
@@ -305,7 +305,7 @@ def test_registry_that_never_answers_costs_each_resolver_one_wait():
             url = "http://127.0.0.1:%d" % hung.getsockname()[1]
             for handle in topology.nfs.values():
                 handle.sidecar.resolver.registry_client = RegistryHttpClient(url, timeout)
-                handle.sidecar.resolver.cache.max_age = 0.0  # every document is due
+                handle.sidecar.resolver.max_age = 0.0  # every document is due
             started = time.monotonic()
             transcript = run_scenario(topology, MINI_SCRIPT, "tunneled", halt_on_failure=False)
             elapsed = time.monotonic() - started

@@ -1,5 +1,8 @@
 import logging
+import math
 import random
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -9,10 +12,9 @@ from hypothesis import strategies as st
 
 from sbacl import identity
 from sbacl.crypto import ed25519_sign
-from sbacl.errors import IdentityError, RegistryError, RegistryUnavailableError, UnknownDidError
+from sbacl.errors import IdentityError, RegistryError, RegistryUnavailableError
 from sbacl.identity import (
     OUTAGE_BACKOFF,
-    ResolutionCache,
     Resolver,
     SignedDocumentUpdate,
     create_registry_did,
@@ -229,29 +231,6 @@ def test_document_chain_oracle_agreement():
           f"({', '.join(f'{k}={v}' for k, v in sorted(tally.items()))})")
 
 
-def test_resolution_cache_expires_entries():
-    cache = ResolutionCache(max_age=0.05)
-    keys = generate_keypair()
-    did, doc = create_registry_did(keys)
-    cache.put(doc, now=100.0)
-    assert cache.get(did, now=100.04) is doc
-    assert cache.get(did, now=100.06) is None
-    cache.put(doc)
-    cache.expire(did)
-    assert cache.get(did) is None
-    assert cache.last(did) is doc  # kept for the next history read to extend
-
-
-def test_resolution_cache_never_goes_back_a_version():
-    keys = generate_keypair()
-    _, doc1 = create_registry_did(keys)
-    doc2 = rotate_document(doc1, generate_keypair(), keys.signing_secret).document
-    cache = ResolutionCache()
-    cache.put(doc2)
-    cache.put(doc1)  # a slower refresh that verified less
-    assert cache.get(doc1.did) is doc2
-
-
 def test_publish_document_registers_then_republishes(registry):
     keys = generate_keypair()
     resolver = Resolver(registry)
@@ -354,12 +333,119 @@ def test_resolver_holds_off_a_registry_that_just_failed(monkeypatch):
     assert client.calls == 3
 
 
+def test_resolver_serves_its_record_until_max_age_or_expire(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(identity, "time", clock)
+    _, history = _genuine_history(random.Random(7), 2)
+    did, v2 = history[0].document.did, history[1].document
+    client = _SlowOutage(history, clock, wait=0.0)
+    resolver = Resolver(client, max_age=5.0)
+    assert resolver.resolve(did) == v2
+    clock.now += 5.0
+    assert resolver.resolve(did) == v2  # exactly max_age old: still served
+    assert client.calls == 1
+    clock.now += 0.5
+    assert resolver.resolve(did) == v2  # older than max_age: read again
+    assert client.calls == 2
+    resolver.expire(did)
+    resolver.expire(create_registry_did(generate_keypair())[0])  # no record: nothing to do
+    client.history = history[:1]
+    with pytest.raises(RegistryError) as err:
+        resolver.resolve(did)  # expired, but the next read must still reach version 2
+    assert err.value.code == "unknown_did"
+    assert client.calls == 3
+
+
+class _Racing:
+    """A registry client whose first read starts, then waits for `release`
+    and serves version 1 only; every later read serves the whole history."""
+
+    def __init__(self, history):
+        self.history, self.calls = history, 0
+        self.first_reading, self.release = threading.Event(), threading.Event()
+
+    def resolve_did(self, did):
+        self.calls += 1
+        if self.calls > 1:
+            return self.history
+        self.first_reading.set()
+        assert self.release.wait(10)
+        return self.history[:1]
+
+
+def test_resolver_keeps_the_later_version_when_refreshes_finish_out_of_order():
+    _, history = _genuine_history(random.Random(8), 2)
+    did, v2 = history[0].document.did, history[1].document
+    client = _Racing(history)
+    resolver = Resolver(client)
+    slow = []
+    first = threading.Thread(target=lambda: slow.append(resolver.refresh(did)))
+    first.start()
+    assert client.first_reading.wait(10)
+    assert resolver.refresh(did) == v2
+    client.release.set()
+    first.join(10)
+    assert slow == [v2]  # the slow read verified version 1, and version 2 stays
+    assert resolver.resolve(did) == v2
+    assert client.calls == 2
+
+
+class _Jittery:
+    """Answers with what `client` serves at the call, up to 1 ms later, so
+    concurrent reads finish out of order."""
+
+    def __init__(self, client):
+        self.client = client
+
+    def resolve_did(self, did):
+        history = self.client.resolve_did(did)
+        time.sleep(random.random() / 1000)
+        return history
+
+
+def test_concurrent_readers_never_see_a_version_go_back():
+    _, history = _genuine_history(random.Random(9), 30)
+    did = history[0].document.did
+    client = _Serving(history[:1])
+    resolver = Resolver(_Jittery(client), max_age=math.inf)  # resolve serves the record as it is
+    went_back, done = [], threading.Event()
+
+    def reader(read):
+        last = 0
+        while not done.is_set():
+            version = read(did).version
+            if version < last:
+                went_back.append((last, version))
+            last = version
+
+    readers = [threading.Thread(target=reader, args=(read,))
+               for read in (resolver.refresh, resolver.refresh, resolver.resolve, resolver.resolve)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers:
+            thread.start()
+        for length in range(2, len(history) + 1):
+            time.sleep(0.002)
+            client.history = history[:length]  # the registry gains a version
+        time.sleep(0.01)
+        done.set()
+        for thread in readers:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert went_back == []
+    assert resolver.refresh(did) == history[-1].document
+
+
 def test_resolve_unknown_registry_did(registry):
     resolver = Resolver(registry)
     keys = generate_keypair()
     did, _ = create_registry_did(keys)
-    with pytest.raises(UnknownDidError):
+    with pytest.raises(RegistryError) as err:
         resolver.resolve(did)
+    assert err.value.code == "unknown_did"
 
 
 def test_resolve_registry_did_without_client_fails():

@@ -474,7 +474,7 @@ def test_producer_full_restart(world, tmp_path):
 
     # expired pin plus refresh enabled lets the consumer find the new
     # endpoint, then the wiped store costs exactly one re-handshake
-    world.consumer.resolver.cache.max_age = 0.0
+    world.consumer.resolver.max_age = 0.0
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 200
     assert world.consumer.handshakes_initiated == 2
@@ -487,14 +487,14 @@ def test_rotation_with_refresh_continues(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
     world.producer.rotate_keys()
     assert world.producer.doc_version == 2
-    world.consumer.resolver.cache.max_age = 0.0  # every call re-checks the registry
+    world.consumer.resolver.max_age = 0.0  # every call re-checks the registry
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 200
 
 
 def test_rotation_without_refresh_surfaces_stale_key(world):
     assert world.call("GET", "/nudm-sdm/v2/data").status_code == 200
-    world.consumer.resolver.cache.max_age = math.inf
+    world.consumer.resolver.max_age = math.inf
     world.producer.rotate_keys()
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert resp.status_code == 502
@@ -571,7 +571,7 @@ def test_rolled_back_peer_document_is_unknown_peer(world):
     assert world.consumer.resolver.resolve(world.producer.did).version == 2
     world.consumer.resolver.registry_client = _serving(
         world.registry, world.producer.did, lambda history: history[:1])
-    world.consumer.resolver.cache.max_age = 0.0  # the call re-reads the history
+    world.consumer.resolver.max_age = 0.0  # the call re-reads the history
     resp = world.call("GET", "/nudm-sdm/v2/data")
     assert "bad_version" in _refused_as(resp, 502, "unknown_peer")
     assert world.producer_nf.request_count() == 0
@@ -697,7 +697,7 @@ def test_registry_outage_keeps_the_stale_peer_document(world, caplog):
         registry=RegistryHttpClient(server.base_url, timeout=2.0))
     assert world.call("GET", "/nudm-sdm/v2/data", consumer=consumer).status_code == 200
 
-    consumer.resolver.cache.max_age = 0.0  # the peer document is due for refresh on every call
+    consumer.resolver.max_age = 0.0  # the peer document is due for refresh on every call
     server.stop()
     with caplog.at_level(logging.WARNING, logger="sbacl.identity"):
         resp = world.call("GET", "/nudm-sdm/v2/data", consumer=consumer)

@@ -4,7 +4,7 @@ import logging
 import pytest
 
 from sbacl.crypto import ed25519_sign
-from sbacl.errors import IdentityError, RegistryError, UnknownDidError
+from sbacl.errors import IdentityError, RegistryError
 from sbacl.identity import (
     create_registry_did,
     generate_keypair,
@@ -105,13 +105,15 @@ def test_rotation_hash_mismatch(registry):
 
 def test_unknown_did_everywhere(registry):
     did, _ = create_registry_did(generate_keypair())
-    with pytest.raises(UnknownDidError):
+    with pytest.raises(RegistryError) as err:
         registry.resolve_did(did)
+    assert err.value.code == "unknown_did"
     keys = generate_keypair()
     update = rotate_document(create_registry_did(keys)[1], generate_keypair(),
                              keys.signing_secret)
-    with pytest.raises(UnknownDidError):
+    with pytest.raises(RegistryError) as err:
         registry.update(update)
+    assert err.value.code == "unknown_did"
 
 
 # -- revocation registries: one per registered DID ------------------------------------
@@ -251,8 +253,9 @@ def test_torn_last_line_is_cut_off_on_replay(tmp_path, caplog):
         reopened = Registry(log_path=log)
     assert "torn last line" in caplog.text
     assert reopened.resolve_did(docs[1].did)[-1].document == docs[1]
-    with pytest.raises(UnknownDidError):
+    with pytest.raises(RegistryError) as err:
         reopened.resolve_did(docs[2].did)
+    assert err.value.code == "unknown_did"
     # the next append starts on a line of its own, so the log replays again
     _, fourth = register_identity(reopened)
     assert Registry(log_path=log).resolve_did(fourth.did)[-1].document == fourth
@@ -288,8 +291,9 @@ def test_http_client_mirrors_registry(registry_http):
     assert client.resolve_did(doc.did) == registry.resolve_did(doc.did)
     assert [v.document.version for v in client.resolve_did(doc.did)] == [1, 2]
 
-    with pytest.raises(UnknownDidError):
+    with pytest.raises(RegistryError) as err:
         client.resolve_did(create_registry_did(generate_keypair())[0])
+    assert err.value.code == "unknown_did"
 
     issuer_keys, registry_id = registered_identity(registry)
     assert client.check_status(registry_id, ["c1"]) == {"c1": "active"}
